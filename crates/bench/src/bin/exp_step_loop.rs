@@ -462,15 +462,15 @@ fn check() {
     );
     assert!(c.incidents > 0, "stochastic churn applied no incidents");
     let p = sim.profiler().expect("profiler enabled");
-    let d = p.drain_stats(EventClass::Churn.index());
+    let d = p.drain_stats(EventClass::Incidents.index());
     println!(
-        "check: churned Churn class: skipped={}, gated={}, polled={}",
+        "check: churned Incidents class: skipped={}, gated={}, polled={}",
         d.skipped, d.gated, d.polled
     );
-    assert!(d.gated > 0, "no Churn drain was ever gated");
+    assert!(d.gated > 0, "no Incidents drain was ever gated");
     assert!(
         d.skipped > d.gated,
-        "Churn class is not wheel-gated: {} skipped vs {} gated",
+        "Incidents class is not wheel-gated: {} skipped vs {} gated",
         d.skipped,
         d.gated
     );

@@ -40,37 +40,62 @@ use gdisim_workload::{
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// A scheduled infrastructure-health change.
+/// One pending fail/restore transition on the incident queue, the
+/// single time-ordered schedule every failure source feeds: the churn
+/// model, the fault plan and the `schedule_*` health front ends. The
+/// queue is kept sorted by [`Incident::key`].
 #[derive(Clone)]
-enum HealthEvent {
-    Link {
-        label: String,
-        fail: bool,
-    },
-    Server {
-        site: usize,
-        tier: gdisim_types::TierKind,
-        server: usize,
-        fail: bool,
-    },
+struct Incident {
+    at_us: u64,
+    source: IncidentSource,
+    /// Churn: the component index. Fault plan: the event's declaration
+    /// index (stamped into [`crate::trace::TraceEvent::Fault`]). Health:
+    /// push order.
+    seq: u32,
 }
 
-/// Runtime state of an installed [`FaultPlan`].
+/// What an [`Incident`] does. The variant order is the source rank:
+/// within a step, churn applies before the fault plan and the fault
+/// plan before scheduled health changes.
+#[derive(Clone)]
+enum IncidentSource {
+    /// The churn component's next transition: a failure when it is up,
+    /// a repair when it is down.
+    Churn,
+    /// A fault-plan event.
+    Fault { target: FaultTarget, fail: bool },
+    /// A health change scheduled through a `schedule_*` front end.
+    Health { target: FaultTarget, fail: bool },
+}
+
+impl Incident {
+    fn rank(&self) -> u8 {
+        match self.source {
+            IncidentSource::Churn => 0,
+            IncidentSource::Fault { .. } => 1,
+            IncidentSource::Health { .. } => 2,
+        }
+    }
+
+    /// Queue order: `(time µs, source rank, seq)`.
+    fn key(&self) -> (u64, u8, u32) {
+        (self.at_us, self.rank(), self.seq)
+    }
+}
+
+/// The machinery fault plans and churn models share: the in-flight
+/// and retry policies, the set of targets down, per-attempt timeouts,
+/// pending retries and the availability counters.
 ///
-/// Only present when a non-empty plan was installed — every fault-layer
-/// hook checks `faults.is_some()` first, so a run without a plan (or
-/// with an empty one) executes exactly the seed code path.
+/// Only present when a non-empty plan or model was installed — every
+/// fault-layer hook checks `faults.is_some()` first, so a run without
+/// either (or with empty ones) executes exactly the seed code path.
 #[derive(Clone)]
 struct FaultRuntime {
-    /// Schedule sorted by `(time, declaration order)`, applied from
-    /// `cursor` on. The `u32` is the event's index in the plan, stamped
-    /// into [`crate::trace::TraceEvent::Fault`].
-    events: Vec<(SimTime, u32, FaultTarget, FaultAction)>,
-    cursor: usize,
     in_flight: InFlightPolicy,
     retry: Option<RetryPolicy>,
-    /// Targets currently down — deduplicates double-fails and drives the
-    /// degraded-window bookkeeping.
+    /// Fault-plan targets currently down — deduplicates double-fails
+    /// and drives the degraded-window bookkeeping.
     down: Vec<FaultTarget>,
     /// Armed per-attempt timeouts `(deadline µs, instance id)`, lazily
     /// invalidated: entries whose instance already completed are skipped
@@ -82,6 +107,20 @@ struct FaultRuntime {
     /// (the availability numerator and denominator).
     interval_ok: u64,
     interval_failed: u64,
+}
+
+impl FaultRuntime {
+    fn new(in_flight: InFlightPolicy, retry: Option<RetryPolicy>) -> Self {
+        FaultRuntime {
+            in_flight,
+            retry,
+            down: Vec::new(),
+            timeouts: std::collections::BinaryHeap::new(),
+            pending_retries: Vec::new(),
+            interval_ok: 0,
+            interval_failed: 0,
+        }
+    }
 }
 
 /// A failed client operation scheduled for re-issue after its backoff.
@@ -151,6 +190,14 @@ impl ChurnComponent {
             repairs: 0,
         }
     }
+
+    /// Re-seeds the generator for the current incident and draws its
+    /// time-to-failure; returns when that failure is due.
+    fn next_failure(&mut self, seed: u64, idx: u32, now: SimTime) -> SimTime {
+        self.rng = incident_stream(seed, idx, self.incidents);
+        let ttf = self.process.sample_ttf(&mut self.rng);
+        now + gdisim_types::SimDuration::from_secs_f64(ttf)
+    }
 }
 
 /// Runtime state of an installed [`ChurnModel`].
@@ -160,11 +207,9 @@ impl ChurnComponent {
 /// empty one) executes exactly the seed code path.
 #[derive(Clone)]
 struct ChurnRuntime {
+    /// Each component has exactly one pending incident on the queue
+    /// (its next failure or repair); applying it pushes the next one.
     components: Vec<ChurnComponent>,
-    /// Pending transitions `(time µs, component index)` — a failure when
-    /// the component is up, a repair when it is down. Never drains dry:
-    /// every transition schedules the component's next one.
-    queue: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
     /// The model's dedicated churn seed.
     seed: u64,
 }
@@ -295,9 +340,11 @@ pub struct Simulation {
     report: Report,
     now: SimTime,
     next_collect: SimTime,
-    /// Scheduled health events `(when, what)`.
-    link_events: Vec<(SimTime, HealthEvent)>,
-    /// Fault-injection runtime, when a non-empty plan is installed.
+    /// Every pending fail/restore transition, sorted by
+    /// [`Incident::key`].
+    incidents: Vec<Incident>,
+    /// Fault-injection runtime, when a non-empty plan or churn model is
+    /// installed.
     faults: Option<FaultRuntime>,
     /// Session wake calendar: (wake time µs, session id).
     session_wakes: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
@@ -441,7 +488,7 @@ impl Simulation {
             report: Report::new(),
             now: SimTime::ZERO,
             next_collect,
-            link_events: Vec::new(),
+            incidents: Vec::new(),
             faults: None,
             session_wakes: std::collections::BinaryHeap::new(),
             sessions: HashMap::new(),
@@ -566,26 +613,14 @@ impl Simulation {
     /// Routing shifts to the surviving links and any backups; frames
     /// already in flight on the link complete their transfer.
     pub fn schedule_link_failure(&mut self, label: &str, at: SimTime) {
-        self.link_events.push((
-            at,
-            HealthEvent::Link {
-                label: label.to_string(),
-                fail: true,
-            },
-        ));
-        self.gate(EventClass::Health, at);
+        let label = label.to_string();
+        self.schedule_health(FaultTarget::WanLink { label }, true, at);
     }
 
     /// Schedules the restoration of a previously failed WAN link.
     pub fn schedule_link_restore(&mut self, label: &str, at: SimTime) {
-        self.link_events.push((
-            at,
-            HealthEvent::Link {
-                label: label.to_string(),
-                fail: false,
-            },
-        ));
-        self.gate(EventClass::Health, at);
+        let label = label.to_string();
+        self.schedule_health(FaultTarget::WanLink { label }, false, at);
     }
 
     /// Schedules a server failure: from `at` on, the server admits no new
@@ -598,17 +633,8 @@ impl Simulation {
         server: usize,
         at: SimTime,
     ) {
-        let site = self.site_index(site);
-        self.link_events.push((
-            at,
-            HealthEvent::Server {
-                site,
-                tier,
-                server,
-                fail: true,
-            },
-        ));
-        self.gate(EventClass::Health, at);
+        let site = site.to_string();
+        self.schedule_health(FaultTarget::Server { site, tier, server }, true, at);
     }
 
     /// Schedules the restoration of a failed server.
@@ -619,17 +645,34 @@ impl Simulation {
         server: usize,
         at: SimTime,
     ) {
-        let site = self.site_index(site);
-        self.link_events.push((
-            at,
-            HealthEvent::Server {
-                site,
-                tier,
-                server,
-                fail: false,
-            },
-        ));
-        self.gate(EventClass::Health, at);
+        let site = site.to_string();
+        self.schedule_health(FaultTarget::Server { site, tier, server }, false, at);
+    }
+
+    /// Queues a health change. Names are resolved when it applies: one
+    /// the infrastructure refuses (an unknown link or site, a tier's
+    /// last healthy server) lands in `report.health_errors`.
+    fn schedule_health(&mut self, target: FaultTarget, fail: bool, at: SimTime) {
+        let seq = self
+            .incidents
+            .iter()
+            .filter(|e| matches!(e.source, IncidentSource::Health { .. }))
+            .map(|e| e.seq + 1)
+            .max()
+            .unwrap_or(0);
+        let source = IncidentSource::Health { target, fail };
+        self.push_incident(at.as_micros(), source, seq);
+    }
+
+    /// Inserts an incident in key order and arms its gate.
+    fn push_incident(&mut self, at_us: u64, source: IncidentSource, seq: u32) {
+        let incident = Incident { at_us, source, seq };
+        let key = incident.key();
+        let i = self.incidents.partition_point(|e| e.key() < key);
+        self.incidents.insert(i, incident);
+        if let Some(w) = &mut self.wheel {
+            w.schedule_at_micros(EventClass::Incidents, at_us);
+        }
     }
 
     /// Installs a fault plan: a deterministic failure/recovery schedule
@@ -678,27 +721,18 @@ impl Simulation {
         if plan.is_empty() {
             return Ok(());
         }
-        let mut events: Vec<(SimTime, u32, FaultTarget, FaultAction)> = plan
-            .events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.at(), i as u32, e.target.clone(), e.action))
-            .collect();
-        events.sort_by_key(|(t, i, _, _)| (*t, *i));
-        for &(t, ..) in &events {
-            self.gate(EventClass::Faults, t);
+        self.incidents
+            .retain(|e| !matches!(e.source, IncidentSource::Fault { .. }));
+        for (i, e) in plan.events.into_iter().enumerate() {
+            let at_us = e.at().as_micros();
+            let fail = e.action == FaultAction::Fail;
+            let source = IncidentSource::Fault {
+                target: e.target,
+                fail,
+            };
+            self.push_incident(at_us, source, i as u32);
         }
-        self.faults = Some(FaultRuntime {
-            events,
-            cursor: 0,
-            in_flight: plan.in_flight,
-            retry: plan.retry,
-            down: Vec::new(),
-            timeouts: std::collections::BinaryHeap::new(),
-            pending_retries: Vec::new(),
-            interval_ok: 0,
-            interval_failed: 0,
-        });
+        self.faults = Some(FaultRuntime::new(plan.in_flight, plan.retry));
         Ok(())
     }
 
@@ -706,17 +740,15 @@ impl Simulation {
     /// the per-class failure/repair processes over the built topology —
     /// one renewal process per WAN link, per server and per declared
     /// failure domain — draws every component's first time-to-failure
-    /// from its dedicated incident stream and arms the
-    /// [`EventClass::Churn`] gates.
+    /// from its dedicated incident stream and queues it as an incident.
     ///
     /// Installing an **empty** model is a no-op: the run stays
     /// bit-identical to one with no model at all (churn draws come from
     /// their own counter-based streams, so they can never perturb
     /// traffic randomness). A non-empty model materializes the fault
-    /// runtime (with an empty event schedule) so the eviction / retry /
-    /// timeout / availability machinery is armed; the model's
-    /// `in_flight` and `retry` override an installed fault plan's
-    /// policies when present.
+    /// runtime so the eviction / retry / timeout / availability
+    /// machinery is armed; the model's `in_flight` and `retry` override
+    /// an installed fault plan's policies when present.
     ///
     /// # Errors
     /// Returns a [`ChurnModelError`] when a process parameter, the SLO
@@ -799,20 +831,13 @@ impl Simulation {
                 d.process,
             ));
         }
-        // Draw every component's incident-0 time-to-failure and arm its
-        // gate.
-        let mut queue = std::collections::BinaryHeap::new();
-        let mut gates: Vec<SimTime> = Vec::new();
+        // Draw every component's incident-0 time-to-failure and queue it.
+        self.incidents
+            .retain(|e| !matches!(e.source, IncidentSource::Churn));
         for (idx, comp) in components.iter_mut().enumerate() {
-            comp.rng = incident_stream(model.seed, idx as u32, 0);
-            let ttf = comp.process.sample_ttf(&mut comp.rng);
-            let at = self.now + gdisim_types::SimDuration::from_secs_f64(ttf);
             comp.span_start = self.now;
-            queue.push(std::cmp::Reverse((at.as_micros(), idx as u32)));
-            gates.push(at);
-        }
-        for at in gates {
-            self.gate(EventClass::Churn, at);
+            let at = comp.next_failure(model.seed, idx as u32, self.now);
+            self.push_incident(at.as_micros(), IncidentSource::Churn, idx as u32);
         }
         // Arm the shared fault machinery (eviction, retries, timeouts,
         // availability) when no plan installed it.
@@ -826,23 +851,15 @@ impl Simulation {
                 }
             }
             None => {
-                self.faults = Some(FaultRuntime {
-                    events: Vec::new(),
-                    cursor: 0,
-                    in_flight: model.in_flight.unwrap_or(InFlightPolicy::Drain),
-                    retry: model.retry,
-                    down: Vec::new(),
-                    timeouts: std::collections::BinaryHeap::new(),
-                    pending_retries: Vec::new(),
-                    interval_ok: 0,
-                    interval_failed: 0,
-                });
+                self.faults = Some(FaultRuntime::new(
+                    model.in_flight.unwrap_or(InFlightPolicy::Drain),
+                    model.retry,
+                ));
             }
         }
         self.report.slo_target = model.slo_target;
         self.churn = Some(ChurnRuntime {
             components,
-            queue,
             seed: model.seed,
         });
         Ok(())
@@ -867,13 +884,6 @@ impl Simulation {
             hedges: std::collections::BinaryHeap::new(),
         });
         Ok(())
-    }
-
-    fn site_index(&self, site: &str) -> usize {
-        self.sites
-            .iter()
-            .position(|n| n == site)
-            .unwrap_or_else(|| panic!("unknown site '{site}'"))
     }
 
     /// Sessions currently logged in (closed-workload sources only).
@@ -1314,10 +1324,8 @@ impl Simulation {
                     });
                 }
             };
-            if let Some(&std::cmp::Reverse((t_us, _))) =
-                self.churn.as_ref().and_then(|c| c.queue.peek())
-            {
-                check(EventClass::Churn, t_us, audit);
+            if let Some(head) = self.incidents.first() {
+                check(EventClass::Incidents, head.at_us, audit);
             }
             if let Some(&std::cmp::Reverse((t_us, _))) =
                 self.resilience.as_ref().and_then(|r| r.hedges.peek())
@@ -1325,18 +1333,12 @@ impl Simulation {
                 check(EventClass::Hedges, t_us, audit);
             }
             if let Some(f) = &self.faults {
-                if let Some(&(t, ..)) = f.events.get(f.cursor) {
-                    check(EventClass::Faults, t.as_micros(), audit);
-                }
                 if let Some(at_us) = f.pending_retries.iter().map(|r| r.at.as_micros()).min() {
                     check(EventClass::Retries, at_us, audit);
                 }
                 if let Some(&std::cmp::Reverse((t_us, _))) = f.timeouts.peek() {
                     check(EventClass::Timeouts, t_us, audit);
                 }
-            }
-            if let Some(at_us) = self.link_events.iter().map(|(t, _)| t.as_micros()).min() {
-                check(EventClass::Health, at_us, audit);
             }
             if let Some(&std::cmp::Reverse((t_us, _))) = self.session_wakes.peek() {
                 check(EventClass::SessionWakes, t_us, audit);
@@ -1436,18 +1438,16 @@ impl Simulation {
         }
     }
 
-    /// Builds the wheel from everything already scheduled: fault plans,
-    /// health events, series launch times, pending session wakes,
-    /// retries and timeouts, and the background horizon. Runs at the
-    /// first step so `dt` (and every pre-run `schedule_*`/`set_*` call)
-    /// is final; later insertions go through [`Self::gate`] at the point
-    /// each event is created.
+    /// Builds the wheel from everything already scheduled: incidents,
+    /// hedges, retries and timeouts, pending session wakes, series
+    /// launch times and the background horizon. Runs at the first step
+    /// so `dt` (and every pre-run `schedule_*`/`set_*` call) is final;
+    /// later insertions arm their gates at the point each event is
+    /// created.
     fn prime_wheel(&mut self) {
         let mut w = TimerWheel::new(self.config.dt);
-        if let Some(c) = &self.churn {
-            for &std::cmp::Reverse((t_us, _)) in c.queue.iter() {
-                w.schedule_at_micros(EventClass::Churn, t_us);
-            }
+        for e in &self.incidents {
+            w.schedule_at_micros(EventClass::Incidents, e.at_us);
         }
         if let Some(r) = &self.resilience {
             for &std::cmp::Reverse((t_us, _)) in r.hedges.iter() {
@@ -1455,18 +1455,12 @@ impl Simulation {
             }
         }
         if let Some(f) = &self.faults {
-            for &(t, ..) in &f.events[f.cursor..] {
-                w.schedule(EventClass::Faults, t);
-            }
             for r in &f.pending_retries {
                 w.schedule(EventClass::Retries, r.at);
             }
             for &std::cmp::Reverse((t_us, _)) in f.timeouts.iter() {
                 w.schedule_at_micros(EventClass::Timeouts, t_us);
             }
-        }
-        for (t, _) in &self.link_events {
-            w.schedule(EventClass::Health, *t);
         }
         for &std::cmp::Reverse((t_us, _)) in self.session_wakes.iter() {
             w.schedule_at_micros(EventClass::SessionWakes, t_us);
@@ -1547,10 +1541,11 @@ impl Simulation {
             p.begin_step(now.as_micros());
         }
 
-        // Phase 1: scheduled events, arrivals and daemons. Fault events
-        // apply first so retries and fresh launches compile against the
-        // post-fault routing tables; retries launch before timeouts are
-        // reaped so a zero-backoff retry still waits one full tick.
+        // Phase 1: scheduled events, arrivals and daemons. Incidents
+        // (churn, fault-plan and health transitions) apply first so
+        // retries and fresh launches compile against the post-incident
+        // routing tables; retries launch before timeouts are reaped so
+        // a zero-backoff retry still waits one full tick.
         //
         // On the event-indexed path each drain sits behind its wheel
         // gate and only runs when an event reached its tick; a skipped
@@ -1579,17 +1574,10 @@ impl Simulation {
         // Whether a drain that runs this step runs because its gate
         // fired (wheel active) or because every source is polled.
         let gated_mode = self.wheel.is_some();
-        // Churn transitions drain first so fault-plan events, retries
-        // and fresh launches all see the post-churn routing tables.
-        if self.churn.is_some() {
-            let ran = self.take_gate(EventClass::Churn);
-            let n = if ran { self.apply_churn_events(now) } else { 0 };
-            self.note_drain(EventClass::Churn, ran, gated_mode, n);
-        }
+        let ran = self.take_gate(EventClass::Incidents);
+        let n = if ran { self.apply_incidents(now) } else { 0 };
+        self.note_drain(EventClass::Incidents, ran, gated_mode, n);
         if self.faults.is_some() {
-            let ran = self.take_gate(EventClass::Faults);
-            let n = if ran { self.apply_fault_events(now) } else { 0 };
-            self.note_drain(EventClass::Faults, ran, gated_mode, n);
             let ran = self.take_gate(EventClass::Retries);
             let n = if ran { self.launch_due_retries(now) } else { 0 };
             self.note_drain(EventClass::Retries, ran, gated_mode, n);
@@ -1611,9 +1599,6 @@ impl Simulation {
             let n = if ran { self.reap_timeouts(now) } else { 0 };
             self.note_drain(EventClass::Timeouts, ran, gated_mode, n);
         }
-        let ran = self.take_gate(EventClass::Health);
-        let n = if ran { self.apply_link_events(now) } else { 0 };
-        self.note_drain(EventClass::Health, ran, gated_mode, n);
         let ran = self.take_gate(EventClass::SessionWakes);
         let n = if ran { self.wake_sessions(now) } else { 0 };
         self.note_drain(EventClass::SessionWakes, ran, gated_mode, n);
@@ -1919,91 +1904,64 @@ impl Simulation {
         n
     }
 
-    /// Applies scheduled WAN failures/restores due at or before `now`.
-    /// Returns the number applied.
-    fn apply_link_events(&mut self, now: SimTime) -> u64 {
-        if self.link_events.is_empty() {
-            // Queue already empty: this drain ran on a stale gate (or a
-            // poll); retire whatever gates remain outstanding.
-            self.cancel_empty_class(EventClass::Health);
-            return 0;
-        }
-        let due: Vec<(SimTime, HealthEvent)> = {
-            let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.link_events)
-                .into_iter()
-                .partition(|(t, _)| *t <= now);
-            self.link_events = rest;
-            due
-        };
+    // ----- incidents ------------------------------------------------------
+
+    /// Applies every incident due at or before `now`: churn first, then
+    /// the fault plan, then health changes, each in `(time, seq)` order.
+    /// Incidents pushed meanwhile (a churn component's next transition)
+    /// wait for a later drain. Returns the number applied.
+    fn apply_incidents(&mut self, now: SimTime) -> u64 {
+        let k = self
+            .incidents
+            .partition_point(|e| e.at_us <= now.as_micros());
+        let mut due: Vec<Incident> = self.incidents.drain(..k).collect();
+        due.sort_by_key(|e| (e.rank(), e.at_us, e.seq));
         let n = due.len() as u64;
-        for (_, event) in due {
-            let result = match event {
-                HealthEvent::Link { label, fail: true } => self.infra.fail_wan_link(&label),
-                HealthEvent::Link { label, fail: false } => self.infra.restore_wan_link(&label),
-                HealthEvent::Server {
-                    site,
-                    tier,
-                    server,
-                    fail: true,
-                } => self.infra.fail_server(self.site_dc[site], tier, server),
-                HealthEvent::Server {
-                    site,
-                    tier,
-                    server,
-                    fail: false,
-                } => self.infra.restore_server(self.site_dc[site], tier, server),
-            };
-            // A refused event (e.g. failing a tier's last healthy
-            // server, or a target already in the requested state) is
-            // surfaced through the report instead of panicking — the
-            // run keeps going and the caller can inspect what was
-            // skipped.
-            if let Err(reason) = result {
-                self.report
-                    .health_errors
-                    .push(HealthEventError { at: now, reason });
+        for Incident { source, seq, .. } in due {
+            match source {
+                IncidentSource::Churn => self.apply_churn_transition(seq, now),
+                IncidentSource::Fault { target, fail } => self.apply_fault(seq, target, fail, now),
+                IncidentSource::Health { target, fail } => {
+                    // A refused change (an unknown name, a tier's last
+                    // healthy server) is reported, not panicked on.
+                    if let Err(reason) = self.set_target_health(&target, fail) {
+                        self.report
+                            .health_errors
+                            .push(HealthEventError { at: now, reason });
+                    }
+                }
             }
         }
-        if self.link_events.is_empty() {
-            // The drain consumed the last scheduled health event; any
-            // outstanding gates of the class are stale.
-            self.cancel_empty_class(EventClass::Health);
+        if self.incidents.is_empty() {
+            // Nothing left to apply: any outstanding gate is stale.
+            self.cancel_empty_class(EventClass::Incidents);
         }
         n
+    }
+
+    /// Fails or restores one target in the infrastructure, which
+    /// re-routes around it.
+    fn set_target_health(&mut self, target: &FaultTarget, fail: bool) -> Result<(), String> {
+        match target {
+            FaultTarget::WanLink { label } if fail => self.infra.fail_wan_link(label),
+            FaultTarget::WanLink { label } => self.infra.restore_wan_link(label),
+            FaultTarget::Server { site, tier, server } => {
+                let dc = self
+                    .infra
+                    .dc_by_name(site)
+                    .ok_or_else(|| format!("no data center named '{site}'"))?;
+                if fail {
+                    self.infra.fail_server(dc, *tier, *server)
+                } else {
+                    self.infra.restore_server(dc, *tier, *server)
+                }
+            }
+            FaultTarget::DataCenter { site } if fail => self.infra.fail_data_center(site),
+            FaultTarget::DataCenter { site } => self.infra.restore_data_center(site),
+        }
     }
 
     // ----- fault injection ------------------------------------------------
-
-    /// Applies fault-plan events due at or before `now`, in `(time,
-    /// declaration order)` order.
-    /// Returns the number of fault events applied (including skipped
-    /// ones — the cursor advanced either way).
-    fn apply_fault_events(&mut self, now: SimTime) -> u64 {
-        let due: Vec<(u32, FaultTarget, FaultAction)> = {
-            let f = self.faults.as_mut().expect("fault runtime installed");
-            let mut due = Vec::new();
-            while f.cursor < f.events.len() && f.events[f.cursor].0 <= now {
-                let (_, idx, target, action) = f.events[f.cursor].clone();
-                due.push((idx, target, action));
-                f.cursor += 1;
-            }
-            due
-        };
-        let n = due.len() as u64;
-        for (idx, target, action) in due {
-            self.apply_fault(idx, target, action, now);
-        }
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.cursor == f.events.len())
-        {
-            // Plan exhausted: no fault event will ever be due again, so
-            // any outstanding gate of the class is stale.
-            self.cancel_empty_class(EventClass::Faults);
-        }
-        n
-    }
 
     /// Applies one fault event: flips the target's health, re-routes
     /// around it, maintains the degraded-window bookkeeping and (for
@@ -2012,14 +1970,7 @@ impl Simulation {
     /// applied — double-fails, recoveries of healthy targets, or
     /// failures the infrastructure refuses (the last healthy server of a
     /// tier) — are counted as skipped, never panicked on.
-    fn apply_fault(
-        &mut self,
-        event_idx: u32,
-        target: FaultTarget,
-        action: FaultAction,
-        now: SimTime,
-    ) {
-        let fail = action == FaultAction::Fail;
+    fn apply_fault(&mut self, event_idx: u32, target: FaultTarget, fail: bool, now: SimTime) {
         let already_down = self
             .faults
             .as_ref()
@@ -2028,20 +1979,7 @@ impl Simulation {
             self.report.faults.skipped_events += 1;
             return;
         }
-        let result = match (&target, fail) {
-            (FaultTarget::WanLink { label }, true) => self.infra.fail_wan_link(label),
-            (FaultTarget::WanLink { label }, false) => self.infra.restore_wan_link(label),
-            (FaultTarget::Server { site, tier, server }, fail) => {
-                match self.infra.dc_by_name(site) {
-                    Some(dc) if fail => self.infra.fail_server(dc, *tier, *server),
-                    Some(dc) => self.infra.restore_server(dc, *tier, *server),
-                    None => Err(format!("no data center named '{site}'")),
-                }
-            }
-            (FaultTarget::DataCenter { site }, true) => self.infra.fail_data_center(site),
-            (FaultTarget::DataCenter { site }, false) => self.infra.restore_data_center(site),
-        };
-        if result.is_err() {
+        if self.set_target_health(&target, fail).is_err() {
             self.report.faults.skipped_events += 1;
             return;
         }
@@ -2091,56 +2029,25 @@ impl Simulation {
 
     // ----- stochastic churn ----------------------------------------------
 
-    /// Applies churn transitions due at or before `now`. Returns the
-    /// number applied. The queue never drains dry — every transition
-    /// schedules the component's next one — so no empty-class gate
-    /// retirement is needed here.
-    fn apply_churn_events(&mut self, now: SimTime) -> u64 {
-        let now_us = now.as_micros();
-        let mut due: Vec<u32> = Vec::new();
-        {
-            let c = self.churn.as_mut().expect("churn runtime installed");
-            while let Some(&std::cmp::Reverse((t, idx))) = c.queue.peek() {
-                if t > now_us {
-                    break;
-                }
-                c.queue.pop();
-                due.push(idx);
-            }
-        }
-        let n = due.len() as u64;
-        for idx in due {
-            self.apply_churn_transition(idx, now);
-        }
-        n
-    }
-
     /// Applies one churn transition for component `idx`: a failure
-    /// incident when the component is up, a repair when it is down.
-    /// Every draw comes from the component's per-incident stream, so
-    /// churn randomness can never shift any other stream.
+    /// incident when the component is up, a repair when it is down —
+    /// then queues the component's next transition. Every draw comes
+    /// from the component's per-incident stream, so churn randomness can
+    /// never shift any other stream.
     fn apply_churn_transition(&mut self, idx: u32, now: SimTime) {
         let (down, targets, incident, seed) = {
             let c = self.churn.as_ref().expect("churn runtime installed");
             let comp = &c.components[idx as usize];
             (comp.down, comp.targets.clone(), comp.incidents, c.seed)
         };
-        if !down {
+        let next = if !down {
             // Failure incident: take every member target down. The
             // infrastructure can refuse individual members (a tier's
             // last healthy server, a target a fault plan already took);
             // refused members simply stay up.
             let mut applied: Vec<FaultTarget> = Vec::new();
             for target in targets {
-                let ok = match &target {
-                    FaultTarget::WanLink { label } => self.infra.fail_wan_link(label).is_ok(),
-                    FaultTarget::Server { site, tier, server } => self
-                        .infra
-                        .dc_by_name(site)
-                        .is_some_and(|dc| self.infra.fail_server(dc, *tier, *server).is_ok()),
-                    FaultTarget::DataCenter { site } => self.infra.fail_data_center(site).is_ok(),
-                };
-                if ok {
+                if self.set_target_health(&target, true).is_ok() {
                     applied.push(target);
                 }
             }
@@ -2150,44 +2057,35 @@ impl Simulation {
                 // incident's unused repair draw vanishes with its
                 // stream — nothing shifts).
                 self.report.churn.refused_incidents += 1;
-                let at = {
-                    let c = self.churn.as_mut().expect("churn runtime installed");
-                    let comp = &mut c.components[idx as usize];
-                    comp.incidents += 1;
-                    comp.rng = incident_stream(seed, idx, comp.incidents);
-                    let ttf = comp.process.sample_ttf(&mut comp.rng);
-                    let at = now + gdisim_types::SimDuration::from_secs_f64(ttf);
-                    c.queue.push(std::cmp::Reverse((at.as_micros(), idx)));
-                    at
-                };
-                self.gate(EventClass::Churn, at);
-                return;
-            }
-            if let Some(t) = &mut self.trace {
-                t.record(
-                    now,
-                    crate::trace::TraceEvent::Churn {
-                        component: idx,
-                        incident,
-                        fail: true,
-                    },
-                );
-            }
-            self.report.churn.incidents += 1;
-            if self.total_down() == 0 {
-                self.report.degraded_since = Some(now);
-            }
-            let policy = self
-                .faults
-                .as_ref()
-                .expect("churn materializes the fault runtime")
-                .in_flight;
-            if policy != InFlightPolicy::Drain {
-                for target in &applied {
-                    self.evict_target(target, policy, "churn", now);
+                let c = self.churn.as_mut().expect("churn runtime installed");
+                let comp = &mut c.components[idx as usize];
+                comp.incidents += 1;
+                comp.next_failure(seed, idx, now)
+            } else {
+                if let Some(t) = &mut self.trace {
+                    t.record(
+                        now,
+                        crate::trace::TraceEvent::Churn {
+                            component: idx,
+                            incident,
+                            fail: true,
+                        },
+                    );
                 }
-            }
-            let at = {
+                self.report.churn.incidents += 1;
+                if self.total_down() == 0 {
+                    self.report.degraded_since = Some(now);
+                }
+                let policy = self
+                    .faults
+                    .as_ref()
+                    .expect("churn materializes the fault runtime")
+                    .in_flight;
+                if policy != InFlightPolicy::Drain {
+                    for target in &applied {
+                        self.evict_target(target, policy, "churn", now);
+                    }
+                }
                 let c = self.churn.as_mut().expect("churn runtime installed");
                 let comp = &mut c.components[idx as usize];
                 comp.up_us += (now - comp.span_start).as_micros();
@@ -2197,11 +2095,8 @@ impl Simulation {
                 comp.applied = applied;
                 // Time-to-repair continues the incident's own stream.
                 let ttr = comp.process.sample_ttr(&mut comp.rng);
-                let at = now + gdisim_types::SimDuration::from_secs_f64(ttr);
-                c.queue.push(std::cmp::Reverse((at.as_micros(), idx)));
-                at
-            };
-            self.gate(EventClass::Churn, at);
+                now + gdisim_types::SimDuration::from_secs_f64(ttr)
+            }
         } else {
             // Repair: restore exactly what the incident took down. A
             // restore the infrastructure refuses (a cross-layer overlap,
@@ -2212,16 +2107,7 @@ impl Simulation {
                 std::mem::take(&mut c.components[idx as usize].applied)
             };
             for target in &applied {
-                let _ = match target {
-                    FaultTarget::WanLink { label } => self.infra.restore_wan_link(label),
-                    FaultTarget::Server { site, tier, server } => {
-                        match self.infra.dc_by_name(site) {
-                            Some(dc) => self.infra.restore_server(dc, *tier, *server),
-                            None => Err(String::new()),
-                        }
-                    }
-                    FaultTarget::DataCenter { site } => self.infra.restore_data_center(site),
-                };
+                let _ = self.set_target_health(target, false);
             }
             if let Some(t) = &mut self.trace {
                 t.record(
@@ -2234,7 +2120,7 @@ impl Simulation {
                 );
             }
             self.report.churn.repairs += 1;
-            let at = {
+            let next = {
                 let c = self.churn.as_mut().expect("churn runtime installed");
                 let comp = &mut c.components[idx as usize];
                 comp.down_us += (now - comp.span_start).as_micros();
@@ -2242,19 +2128,16 @@ impl Simulation {
                 comp.down = false;
                 comp.repairs += 1;
                 comp.incidents += 1;
-                comp.rng = incident_stream(seed, idx, comp.incidents);
-                let ttf = comp.process.sample_ttf(&mut comp.rng);
-                let at = now + gdisim_types::SimDuration::from_secs_f64(ttf);
-                c.queue.push(std::cmp::Reverse((at.as_micros(), idx)));
-                at
+                comp.next_failure(seed, idx, now)
             };
-            self.gate(EventClass::Churn, at);
             if self.total_down() == 0 {
                 if let Some(from) = self.report.degraded_since.take() {
                     self.report.degraded_windows.push((from, now));
                 }
             }
-        }
+            next
+        };
+        self.push_incident(next.as_micros(), IncidentSource::Churn, idx);
     }
 
     /// Drains every queued message out of the failed target's agents and
@@ -3892,10 +3775,10 @@ impl Simulation {
 // private fields. Three members are deliberately not serialized:
 //
 // * `wheel` — the timer wheel is a pure scheduling index over the
-//   canonical containers (fault schedule, retry/timeout/hedge/churn
-//   heaps, session wakes, series cursors, background horizon); a
-//   restored engine starts with `wheel = None` and re-primes it lazily
-//   at its next step, which drains exactly what a polled run would.
+//   canonical containers (incident queue, retry/timeout/hedge heaps,
+//   session wakes, series cursors, background horizon); a restored
+//   engine starts with `wheel = None` and re-primes it lazily at its
+//   next step, which drains exactly what a polled run would.
 // * `profiler` — wall-clock observation, never simulation state.
 // * `config.executor` — thread pools cannot cross a process boundary;
 //   the CLI re-applies its executor flags after restore.
@@ -3903,9 +3786,11 @@ impl Simulation {
 // `panic_at` (the supervision test hook) is also skipped: a checkpoint
 // taken before an injected crash must resume past it, exactly like a
 // run whose real bug was fixed between kill and resume.
-gdisim_snap::snap_enum!(HealthEvent {
-    0 => Link { label, fail },
-    1 => Server { site, tier, server, fail },
+gdisim_snap::snap_struct!(Incident { at_us, source, seq });
+gdisim_snap::snap_enum!(IncidentSource {
+    0 => Churn,
+    1 => Fault { target, fail },
+    2 => Health { target, fail },
 });
 gdisim_snap::snap_struct!(PendingRetry {
     at,
@@ -3919,8 +3804,6 @@ gdisim_snap::snap_struct!(PendingRetry {
     trace_root,
 });
 gdisim_snap::snap_struct!(FaultRuntime {
-    events,
-    cursor,
     in_flight,
     retry,
     down,
@@ -3943,11 +3826,7 @@ gdisim_snap::snap_struct!(ChurnComponent {
     failures,
     repairs,
 });
-gdisim_snap::snap_struct!(ChurnRuntime {
-    components,
-    queue,
-    seed,
-});
+gdisim_snap::snap_struct!(ChurnRuntime { components, seed });
 gdisim_snap::snap_enum!(BreakerState {
     0 => Closed { consecutive },
     1 => Open { until_us },
@@ -3981,7 +3860,7 @@ impl gdisim_snap::Snap for Simulation {
         gdisim_snap::Snap::save(&self.report, w);
         gdisim_snap::Snap::save(&self.now, w);
         gdisim_snap::Snap::save(&self.next_collect, w);
-        gdisim_snap::Snap::save(&self.link_events, w);
+        gdisim_snap::Snap::save(&self.incidents, w);
         gdisim_snap::Snap::save(&self.faults, w);
         gdisim_snap::Snap::save(&self.session_wakes, w);
         gdisim_snap::Snap::save(&self.sessions, w);
@@ -4013,7 +3892,7 @@ impl gdisim_snap::Snap for Simulation {
             report: gdisim_snap::Snap::load(r)?,
             now: gdisim_snap::Snap::load(r)?,
             next_collect: gdisim_snap::Snap::load(r)?,
-            link_events: gdisim_snap::Snap::load(r)?,
+            incidents: gdisim_snap::Snap::load(r)?,
             faults: gdisim_snap::Snap::load(r)?,
             session_wakes: gdisim_snap::Snap::load(r)?,
             sessions: gdisim_snap::Snap::load(r)?,

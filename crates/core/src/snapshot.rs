@@ -29,7 +29,7 @@ pub const MAGIC: [u8; 8] = *b"GDISNAP\0";
 
 /// Current checkpoint format version. Bump on any encoding change —
 /// the loader refuses other versions rather than misreading them.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Checkpoint identity: enough to refuse a resume under mismatched
 /// flags and to label crash reports.
@@ -281,13 +281,17 @@ mod tests {
 
     #[test]
     fn rejects_future_version() {
-        let mut w = SnapWriter::new();
-        w.put_raw(&MAGIC);
-        w.put_u32(VERSION + 1);
-        assert!(matches!(
-            Snapshot::from_bytes(&w.into_bytes()),
-            Err(SnapshotError::BadVersion(v)) if v == VERSION + 1
-        ));
+        // v1 predates the single incident queue; its engine encoding
+        // differs from v2's, so it must be refused, not misread.
+        for version in [1, VERSION + 1] {
+            let mut w = SnapWriter::new();
+            w.put_raw(&MAGIC);
+            w.put_u32(version);
+            assert!(matches!(
+                Snapshot::from_bytes(&w.into_bytes()),
+                Err(SnapshotError::BadVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]

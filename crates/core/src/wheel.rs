@@ -1,15 +1,15 @@
 //! Hierarchical timer wheel gating the phase-1 event sources.
 //!
 //! The discrete loop of §4.3 polls every phase-1 source every step:
-//! fault schedules, retry backoffs, operation timeouts, health events,
-//! session think-timers, periodic series and background daemons are all
-//! asked "anything due?" each tick even when their next event is minutes
+//! fail/restore incidents, retry backoffs, operation timeouts, session
+//! think-timers, periodic series and background daemons are all asked
+//! "anything due?" each tick even when their next event is minutes
 //! away. [`TimerWheel`] turns those polls into an *event index*: each
 //! source class registers the tick of its next event through one
 //! `schedule` API, and the engine only runs a class's drain when the
 //! wheel says something is due (`take`). The legacy containers — the
-//! retry vector, the timeout and session-wake min-heaps, the fault
-//! cursor — remain the canonical stores and keep their exact drain
+//! incident queue, the retry vector, the timeout and session-wake
+//! min-heaps — remain the canonical stores and keep their exact drain
 //! orders; the wheel is a pure *gate* in front of them. Because every
 //! drain is a no-op (and draws no randomness) when nothing is due, and
 //! because a gate is never late (an event at time `a` maps to the first
@@ -87,18 +87,15 @@ const FRAME_TARGET_US: u64 = 163_840_000;
 /// phase 1, in the order they run there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventClass {
-    /// Stochastic churn incidents (`apply_churn_events`).
-    Churn,
-    /// Fault-plan events (`apply_fault_events`).
-    Faults,
+    /// Churn, fault-plan and health fail/restore transitions
+    /// (`apply_incidents`).
+    Incidents,
     /// Client retry backoffs (`launch_due_retries`).
     Retries,
     /// Hedge-delay expiries (`launch_due_hedges`).
     Hedges,
     /// Per-attempt operation timeouts (`reap_timeouts`).
     Timeouts,
-    /// Scheduled link/server health events (`apply_link_events`).
-    Health,
     /// Session think-timer expiries (`wake_sessions`).
     SessionWakes,
     /// Periodic series launches (the `PeriodicSeries` traffic arm).
@@ -109,13 +106,11 @@ pub enum EventClass {
 
 impl EventClass {
     /// All classes, in phase-1 drain order.
-    pub const ALL: [EventClass; 9] = [
-        EventClass::Churn,
-        EventClass::Faults,
+    pub const ALL: [EventClass; 7] = [
+        EventClass::Incidents,
         EventClass::Retries,
         EventClass::Hedges,
         EventClass::Timeouts,
-        EventClass::Health,
         EventClass::SessionWakes,
         EventClass::Series,
         EventClass::Background,
@@ -129,12 +124,13 @@ impl EventClass {
     /// Stable snake_case name for export artifacts.
     pub fn label(self) -> &'static str {
         match self {
-            EventClass::Churn => "churn",
-            EventClass::Faults => "faults",
+            // Kept as "churn": the profile JSON's `drains.churn` and the
+            // benchmark's `core.wheel.churn.*` read it, and churn is the
+            // only incident source on every benchmark workload.
+            EventClass::Incidents => "churn",
             EventClass::Retries => "retries",
             EventClass::Hedges => "hedges",
             EventClass::Timeouts => "timeouts",
-            EventClass::Health => "health",
             EventClass::SessionWakes => "session_wakes",
             EventClass::Series => "series",
             EventClass::Background => "background",
@@ -557,8 +553,8 @@ mod tests {
     #[test]
     fn past_and_present_events_are_due_immediately() {
         let mut w = TimerWheel::new(DT);
-        w.schedule(EventClass::Faults, SimTime::ZERO);
-        assert!(w.take(EventClass::Faults));
+        w.schedule(EventClass::Incidents, SimTime::ZERO);
+        assert!(w.take(EventClass::Incidents));
         w.advance_to(10);
         w.schedule(EventClass::Retries, at(4));
         assert!(w.take(EventClass::Retries), "past event due at once");
@@ -578,10 +574,10 @@ mod tests {
     #[test]
     fn classes_are_independent() {
         let mut w = TimerWheel::new(DT);
-        w.schedule(EventClass::Health, at(2));
+        w.schedule(EventClass::Incidents, at(2));
         w.schedule(EventClass::Background, at(2));
         w.advance_to(2);
-        assert!(w.take(EventClass::Health));
+        assert!(w.take(EventClass::Incidents));
         assert!(w.take(EventClass::Background));
         assert!(!w.take(EventClass::SessionWakes));
     }
@@ -615,11 +611,11 @@ mod tests {
     fn far_event_survives_multiple_frame_rotations() {
         let mut w = TimerWheel::new(DT);
         let far = 3 * FRAME + 7;
-        w.schedule(EventClass::Health, at(far));
+        w.schedule(EventClass::Incidents, at(far));
         w.advance_to(far - 1);
-        assert!(!w.take(EventClass::Health));
+        assert!(!w.take(EventClass::Incidents));
         w.advance_to(far);
-        assert!(w.take(EventClass::Health));
+        assert!(w.take(EventClass::Incidents));
     }
 
     #[test]
@@ -638,10 +634,10 @@ mod tests {
     fn forward_jump_collects_everything_in_between() {
         let mut w = TimerWheel::new(DT);
         w.schedule(EventClass::Series, at(10));
-        w.schedule(EventClass::Health, at(500));
+        w.schedule(EventClass::Incidents, at(500));
         w.advance_to(1000);
         assert!(w.take(EventClass::Series));
-        assert!(w.take(EventClass::Health));
+        assert!(w.take(EventClass::Incidents));
     }
 
     #[test]
@@ -663,7 +659,7 @@ mod tests {
                 let class = EventClass::ALL[(i as usize) % EventClass::ALL.len()];
                 w.schedule(class, at(tick));
             }
-            w.schedule(EventClass::Health, at(3)); // near event
+            w.schedule(EventClass::Incidents, at(3)); // near event
             w.cancel_class(EventClass::SessionWakes); // stale a whole class
             w.schedule(EventClass::SessionWakes, at(7777)); // fresh again
             w
@@ -724,11 +720,11 @@ mod tests {
     #[test]
     fn cancel_clears_an_already_due_bit() {
         let mut w = TimerWheel::new(DT);
-        w.schedule(EventClass::Faults, at(2));
+        w.schedule(EventClass::Incidents, at(2));
         w.advance_to(2);
-        w.cancel_class(EventClass::Faults);
-        assert!(!w.take(EventClass::Faults), "cleared due bit fired");
-        assert_eq!(w.cancelled_counts()[EventClass::Faults.index()], 1);
+        w.cancel_class(EventClass::Incidents);
+        assert!(!w.take(EventClass::Incidents), "cleared due bit fired");
+        assert_eq!(w.cancelled_counts()[EventClass::Incidents.index()], 1);
     }
 
     #[test]

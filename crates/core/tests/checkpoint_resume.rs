@@ -78,6 +78,15 @@ fn serial_resume_is_bit_identical_on_every_scenario() {
 }
 
 #[test]
+fn resume_inside_a_fault_plan_outage_under_churn_is_bit_identical() {
+    // Checkpointed at 16 min, inside the plan's partition and after
+    // churn incidents fired, with plan recoveries (20 min) and further
+    // churn transitions still queued: the restored incident queue must
+    // replay exactly.
+    assert_resume_equivalent("faulted-churn", 42, 960, 1500);
+}
+
+#[test]
 fn resume_survives_back_to_back_checkpoints() {
     // Checkpoint, resume, checkpoint again, resume again — chained
     // restores must not drift either.

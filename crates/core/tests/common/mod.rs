@@ -27,6 +27,17 @@ pub fn build(scenario: &str, seed: u64) -> Simulation {
             sim
         }
         "consolidated" => consolidated::build(seed),
+        // Not in `SCENARIOS`: the faulted scenario under the demo fault
+        // plan *and* the demo churn model (`--faults demo --churn demo`),
+        // so plan and churn incidents share one run.
+        "faulted-churn" => {
+            let mut sim = faulted::build(seed);
+            sim.set_fault_plan(faulted::demo_fault_plan())
+                .expect("demo plan installs");
+            sim.set_churn_model(churned::demo_churn_model())
+                .expect("demo churn model installs");
+            sim
+        }
         other => panic!("unknown scenario {other}"),
     }
 }

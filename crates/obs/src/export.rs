@@ -10,7 +10,7 @@
 //!   "steps": 360000, "wall_ns": 1234567,
 //!   "phases": {"drain": {"wall_ns": ..., "share": ...}, ...},
 //!   "step_ns": {"count": ..., "p50": ..., "buckets": [[lo, hi, n], ...]},
-//!   "drains": {"faults": {"skipped": ..., "gated": ..., "noop": ..., "cancelled": ...}, ...},
+//!   "drains": {"churn": {"skipped": ..., "gated": ..., "noop": ..., "cancelled": ...}, "retries": {...}, ...},
 //!   "active_set": {"mean": ..., "max": ..., "series": [[t_secs, n], ...]},
 //!   "spans": {"recorded": ..., "dropped": ...},
 //!   "registry": {"counters": {...}, "gauges": {...}, "histograms": {...}}
@@ -98,7 +98,7 @@ mod tests {
     use super::*;
     use crate::profiler::{StepProfiler, NUM_CLASSES, PHASE_ADVANCE, PHASE_DRAIN};
 
-    const LABELS: [&str; NUM_CLASSES] = ["a", "b", "c", "d", "e", "f", "g", "h", "i"];
+    const LABELS: [&str; NUM_CLASSES] = ["a", "b", "c", "d", "e", "f", "g"];
 
     #[test]
     fn document_has_required_keys_and_parses() {

@@ -191,6 +191,28 @@ fn server_failure_concentrates_load_then_recovers() {
 }
 
 #[test]
+fn unknown_site_in_a_server_event_is_refused_not_panicked() {
+    // Site names come from user input: a misspelled one must surface as
+    // a refused health event when it applies, and the run carry on.
+    let topology = two_dc_topology(false);
+    let mut sim = sim_with(&topology, 9);
+    sim.schedule_server_failure("Atlantis", TierKind::App, 0, SimTime::from_secs(60));
+    sim.schedule_server_restore("Atlantis", TierKind::App, 0, SimTime::from_secs(120));
+    sim.schedule_server_failure("NA", TierKind::App, 0, SimTime::from_secs(90));
+    sim.run_until(SimTime::from_secs(180));
+    let errors = &sim.report().health_errors;
+    let at: Vec<SimTime> = errors.iter().map(|e| e.at).collect();
+    assert_eq!(at, [SimTime::from_secs(60), SimTime::from_secs(120)]);
+    for e in errors {
+        assert!(
+            e.reason.contains("Atlantis"),
+            "unhelpful reason: {}",
+            e.reason
+        );
+    }
+}
+
+#[test]
 fn sessions_track_the_population_curve() {
     let topology = two_dc_topology(false);
     let mut sim = sim_with(&topology, 5);
