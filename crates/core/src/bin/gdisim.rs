@@ -35,11 +35,12 @@
 //! infrastructure.
 
 use gdisim_background::BackgroundKind;
+use gdisim_core::observe::merged_audit;
 use gdisim_core::scenarios::{churned, consolidated, faulted, multimaster, validation};
 use gdisim_core::{
-    snapshot, ChurnModel, ChurnModelError, FaultPlan, FaultPlanError, Report, ResilienceStats,
-    ShardConfigError, ShardedSimulation, Simulation, Snapshot, SnapshotError, SnapshotPayload,
-    TraceLog,
+    snapshot, ChurnModel, ChurnModelError, FaultPlan, FaultPlanError, Observers, Report,
+    ResilienceStats, ShardConfigError, ShardCrash, ShardedSimulation, Simulation, Snapshot,
+    SnapshotError, SnapshotPayload, TraceLog,
 };
 use gdisim_infra::{Infrastructure, TopologySpec};
 use gdisim_metrics::mean_stddev;
@@ -486,9 +487,9 @@ fn run_case_study(mut sim: Simulation, hours: u64, sites: &[&str]) {
 
 /// Prints the degradation summary of a (possibly fault-injected) run:
 /// fault counters, availability, degraded windows, healthy vs. degraded
-/// response times and the trace drop breakdown. Sharded runs pass
-/// shard 0's trace (each shard records its own).
-fn degradation_summary(report: &Report, trace: Option<&TraceLog>) {
+/// response times and the trace drop breakdown, summed over every
+/// engine's trace log (one per shard).
+fn degradation_summary(report: &Report, traces: &[&TraceLog]) {
     let f = report.faults;
     println!("\nfault layer:");
     println!(
@@ -537,18 +538,19 @@ fn degradation_summary(report: &Report, trace: Option<&TraceLog>) {
             degraded.len()
         );
     }
-    if let Some(trace) = trace {
-        let dropped = trace.dropped_by_kind();
-        println!(
-            "\ntrace: {} events recorded, {} dropped past capacity",
-            trace.events().len(),
-            dropped.total()
-        );
-        if dropped.total() > 0 {
-            for (label, n) in dropped.by_kind() {
-                if n > 0 {
-                    println!("  dropped {label}: {n}");
-                }
+    if let Some((first, rest)) = traces.split_first() {
+        let mut dropped = first.dropped_by_kind().by_kind();
+        for t in rest {
+            for (sum, (_, n)) in dropped.iter_mut().zip(t.dropped_by_kind().by_kind()) {
+                sum.1 += n;
+            }
+        }
+        let events: usize = traces.iter().map(|t| t.events().len()).sum();
+        let total: u64 = dropped.iter().map(|(_, n)| n).sum();
+        println!("\ntrace: {events} events recorded, {total} dropped past capacity");
+        for (label, n) in dropped {
+            if n > 0 {
+                println!("  dropped {label}: {n}");
             }
         }
     }
@@ -745,123 +747,212 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
             format!(" ({} installed)", installed.join(" + "))
         }
     );
-    if args.shards > 1 {
-        let dt = sim.dt();
-        let mut sharded = ShardedSimulation::new(sim, args.shards, args.lookahead_ticks, None)?;
-        sharded.enable_trace(100_000);
-        if let Some(rate) = optrace_rate(args) {
-            sharded.enable_optrace(rate);
-        }
-        return run_sharded_cmd(
-            args, sharded, dt, horizon, &scenario, args.seed, &sites, header,
-        );
-    }
+    // Every shard inherits the trace log from the base engine.
     sim.enable_trace(100_000);
-    if let Some(rate) = optrace_rate(args) {
-        sim.enable_optrace(rate);
+    let engine = if args.shards > 1 {
+        let sharded = ShardedSimulation::new(sim, args.shards, args.lookahead_ticks, None)?;
+        Engine::Sharded(Box::new(sharded))
+    } else {
+        Engine::Serial(Box::new(sim))
+    };
+    run_engine(args, engine, horizon, &scenario, args.seed, &sites, header)
+}
+
+/// The engine a `run` drives: one serial engine, or a sharded one
+/// under `--shards N` (N > 1).
+enum Engine {
+    Serial(Box<Simulation>),
+    Sharded(Box<ShardedSimulation>),
+}
+
+impl Engine {
+    fn now(&self) -> SimTime {
+        match self {
+            Engine::Serial(sim) => sim.now(),
+            Engine::Sharded(sharded) => sharded.now(),
+        }
     }
-    run_serial_cmd(args, sim, horizon, &scenario, args.seed, &sites, header)
+
+    /// Runs to `target` under supervision: a panic in the serial engine,
+    /// or in any shard's window, comes back as a [`ShardCrash`] instead
+    /// of unwinding.
+    fn run_until(&mut self, target: SimTime, progress: Option<u64>) -> Result<(), ShardCrash> {
+        let sim = match self {
+            Engine::Serial(sim) => sim,
+            Engine::Sharded(sharded) => return sharded.try_run_until(target),
+        };
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match progress {
+            Some(secs) => run_with_progress(sim, target, secs),
+            None => sim.run_until(target),
+        }))
+        .map_err(|payload| ShardCrash {
+            shard: 0,
+            at: sim.now(),
+            tick: sim.now().as_micros() / sim.dt().as_micros(),
+            message: gdisim_ports::panic_message(payload.as_ref()),
+            payload,
+        })
+    }
+
+    /// Every engine's observer set with its shard tag, in shard order;
+    /// a serial run is a one-entry list tagged `None`.
+    fn observers(&self) -> Vec<(Option<u32>, &Observers)> {
+        match self {
+            Engine::Serial(sim) => sim.observers().map(|o| (None, o)).into_iter().collect(),
+            Engine::Sharded(sharded) => sharded
+                .shard_sims()
+                .enumerate()
+                .filter_map(|(i, sim)| Some((Some(i as u32), sim.observers()?)))
+                .collect(),
+        }
+    }
+
+    /// The engine export labels resolve against (every shard
+    /// replicates the catalog and topology).
+    fn labels(&self) -> &Simulation {
+        match self {
+            Engine::Serial(sim) => sim,
+            Engine::Sharded(sharded) => sharded.shard_sims().next().expect("at least one shard"),
+        }
+    }
 }
 
-/// The effective operation-tracing sampling rate: `--trace-ops RATE`
-/// verbatim, or 1.0 when only `--optrace-json` asks for the export.
-fn optrace_rate(args: &Args) -> Option<f64> {
-    args.trace_ops
-        .or_else(|| args.optrace_json.is_some().then_some(1.0))
-}
-
-/// Drives a serial engine to `horizon` and prints every requested
-/// output — shared by fresh runs and `--resume`. Handles periodic
-/// checkpoints, panic supervision (a crash emits a CrashReport and
-/// exits non-zero) and the `--paranoid` audit summary.
-fn run_serial_cmd(
+/// Drives a run to `horizon` and prints every requested output —
+/// shared by fresh runs and `--resume`, serial and sharded. Handles
+/// periodic checkpoints, panic supervision (a crash emits a CrashReport
+/// and exits non-zero) and the `--paranoid` audit summary. A sharded
+/// run also prints the per-shard window/barrier/mailbox summary, and
+/// checkpoints only on whole-window boundaries: the cadence is rounded
+/// *up* to a multiple of the lookahead window so a resumed run keeps
+/// the exact window grid (and therefore the exact mailbox delivery
+/// schedule) of an uninterrupted one.
+fn run_engine(
     args: &Args,
-    mut sim: Simulation,
+    mut engine: Engine,
     horizon: SimTime,
     scenario: &str,
     seed: u64,
     sites: &[&str],
     header: String,
 ) -> Result<(), CliError> {
-    if args.paranoid {
-        sim.set_paranoid(true);
-    }
-    if let Some((shard, secs)) = args.inject_panic {
-        if shard != 0 {
-            return Err(CliError::Usage(
-                "--inject-panic: a serial run has only shard 0".into(),
-            ));
+    let mut every = args.checkpoint_every.map(SimDuration::from_secs);
+    match &mut engine {
+        Engine::Serial(sim) => {
+            if let Some((shard, secs)) = args.inject_panic {
+                if shard != 0 {
+                    return Err(CliError::Usage(
+                        "--inject-panic: a serial run has only shard 0".into(),
+                    ));
+                }
+                sim.inject_panic_at(SimTime::from_secs(secs));
+            }
+            println!("{header}");
         }
-        sim.inject_panic_at(SimTime::from_secs(secs));
+        Engine::Sharded(sharded) => {
+            if args.progress.is_some() {
+                return Err(CliError::Usage(
+                    "--progress is not supported with --shards > 1".into(),
+                ));
+            }
+            if args.trace_perfetto.is_some() {
+                return Err(CliError::Usage(
+                    "--trace-perfetto exports a single engine's step-phase spans; \
+                     run with --shards 1 to use it"
+                        .into(),
+                ));
+            }
+            if let Some((shard, secs)) = args.inject_panic {
+                sharded.inject_panic_at(shard, SimTime::from_secs(secs));
+            }
+            println!(
+                "{header}, {} shards x {}-tick windows",
+                sharded.shards(),
+                sharded.window_ticks()
+            );
+            // Checkpoint cadence in whole windows (ceiling, at least one).
+            let window = sharded.dt() * sharded.window_ticks();
+            every = every
+                .map(|wanted| window * (wanted.as_micros().div_ceil(window.as_micros()).max(1)));
+        }
     }
-    // The profiler is pay-for-what-you-ask: any flag that reads its
-    // counters turns it on, and span recording (the only part that
-    // grows with run length) only when a Perfetto trace was requested.
-    let want_profiler = args.profile_json.is_some()
+    // Switch on the observers the flags ask for, on every engine: the
+    // span recorder at the `--trace-ops` rate (1.0 when only
+    // `--optrace-json` asks for the export), the auditor, and the
+    // profiler for any flag that reads its counters — with span
+    // recording, the only part that grows with run length, only for a
+    // Perfetto trace. The trace log is not among them: a fresh run
+    // switches it on before sharding, a resumed run continues the
+    // checkpointed one.
+    let rate = args
+        .trace_ops
+        .or_else(|| args.optrace_json.is_some().then_some(1.0));
+    let profile = args.profile_json.is_some()
         || args.trace_perfetto.is_some()
         || args.bench_json.is_some()
         || args.progress.is_some();
-    if want_profiler {
-        let span_cap = if args.trace_perfetto.is_some() {
-            200_000
-        } else {
-            0
-        };
-        sim.enable_profiler(span_cap);
+    let span_cap = if args.trace_perfetto.is_some() {
+        200_000
+    } else {
+        0
+    };
+    let sims: Vec<&mut Simulation> = match &mut engine {
+        Engine::Serial(sim) => vec![sim],
+        Engine::Sharded(sharded) => sharded.shard_sims_mut().collect(),
+    };
+    for sim in sims {
+        if let Some(rate) = rate {
+            sim.enable_optrace(rate);
+        }
+        if args.paranoid {
+            sim.set_paranoid(true);
+        }
+        if profile {
+            sim.enable_profiler(span_cap);
+        }
     }
-    println!("{header}");
     let wall = std::time::Instant::now();
-    // Chunk the run at checkpoint boundaries. The serial step loop is
-    // oblivious to where `run_until` calls split it, so the chunked
-    // run is bit-identical to an uninterrupted one.
-    let every = args.checkpoint_every.map(SimDuration::from_secs);
-    let mut next_ckpt = every.map(|e| sim.now() + e);
+    // Chunk the run at checkpoint boundaries. The step loop is
+    // oblivious to where `run_until` calls split it, so the chunked run
+    // is bit-identical to an uninterrupted one.
+    let mut next_ckpt = every.map(|e| engine.now() + e);
     let mut last_ckpt: Option<PathBuf> = None;
     loop {
         let target = match next_ckpt {
             Some(n) if n < horizon => n,
             _ => horizon,
         };
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match args.progress {
-            Some(secs) => run_with_progress(&mut sim, target, secs),
-            None => sim.run_until(target),
-        }));
-        if let Err(payload) = run {
-            flush_partial_obs(args, &sim);
-            let tick = sim.now().as_micros() / sim.dt().as_micros();
+        if let Err(crash) = engine.run_until(target, args.progress) {
+            write_obs_exports(args, &engine, true)?;
             return Err(emit_crash_report(
                 scenario,
                 seed,
-                0,
-                sim.now(),
-                tick,
-                &gdisim_ports::panic_message(payload.as_ref()),
+                &crash,
                 last_ckpt.as_deref(),
             ));
         }
         if target >= horizon {
             break;
         }
-        let path = snapshot::checkpoint_path(Path::new(&args.checkpoint_dir), scenario, sim.now());
-        Snapshot::write_serial(&path, scenario, seed, &sim)?;
+        let path =
+            snapshot::checkpoint_path(Path::new(&args.checkpoint_dir), scenario, engine.now());
+        match &engine {
+            Engine::Serial(sim) => Snapshot::write_serial(&path, scenario, seed, sim)?,
+            Engine::Sharded(sharded) => Snapshot::write_sharded(&path, scenario, seed, sharded)?,
+        }
         println!("checkpoint: wrote {}", path.display());
         last_ckpt = Some(path);
         next_ckpt = next_ckpt.zip(every).map(|(n, e)| n + e);
     }
     let elapsed = wall.elapsed();
     println!("simulated {horizon} in {elapsed:?}");
-    if let Some(path) = &args.bench_json {
-        // Machine-readable run timing for CI smoke checks and quick
-        // before/after comparisons. Every emitted string is a validated
-        // scenario name or a static executor name, so no escaping is
-        // needed. With the profiler on (always the case here), the
-        // wheel-gating stats ride along so a bench row also answers
-        // "how much work did the timer wheel actually skip".
-        let sim_s = horizon.as_secs_f64();
-        let wall_ms = elapsed.as_secs_f64() * 1e3;
-        let gating = sim
-            .step_profile()
-            .map(|p| {
+    let merged;
+    let (report, executor, layout, extra) = match &engine {
+        Engine::Serial(sim) => {
+            // With the profiler on (always the case with
+            // `--bench-json`), the wheel-gating stats ride along so a
+            // bench row also answers "how much work did the timer wheel
+            // actually skip".
+            let gating = sim.step_profile().map(|p| {
                 let (mut skipped, mut gated, mut polled, mut noop, mut cancelled) =
                     (0u64, 0u64, 0u64, 0u64, 0u64);
                 for (_, d) in &p.drains {
@@ -878,13 +969,55 @@ fn run_serial_cmd(
                      \"active_set_mean\": {:.3}",
                     p.steps, p.occupancy_mean,
                 )
-            })
-            .unwrap_or_default();
+            });
+            let executor = sim.executor_name();
+            (
+                sim.report(),
+                executor,
+                String::new(),
+                gating.unwrap_or_default(),
+            )
+        }
+        Engine::Sharded(sharded) => {
+            let stats = sharded.stats();
+            let sent: u64 = stats.iter().map(|s| s.mail_sent).sum();
+            let violations: u64 = stats.iter().map(|s| s.ordering_violations).sum();
+            println!(
+                "shards: {} windows, {sent} cross-shard envelopes, {violations} ordering violations",
+                stats.first().map_or(0, |s| s.windows),
+            );
+            for (i, st) in stats.iter().enumerate() {
+                println!(
+                    "  shard {i}: stepped {:.1} ms, waited {:.1} ms at barriers, \
+                     {} sent / {} received",
+                    st.window_wall_ns as f64 / 1e6,
+                    st.barrier_wait_ns as f64 / 1e6,
+                    st.mail_sent,
+                    st.mail_received,
+                );
+            }
+            merged = sharded.report();
+            let layout = format!(
+                "\n  \"shards\": {},\n  \"window_ticks\": {},",
+                sharded.shards(),
+                sharded.window_ticks()
+            );
+            let extra =
+                format!(",\n  \"mailbox_sent\": {sent},\n  \"ordering_violations\": {violations}");
+            (&merged, "sharded", layout, extra)
+        }
+    };
+    if let Some(path) = &args.bench_json {
+        // Machine-readable run timing for CI smoke checks and quick
+        // before/after comparisons. Every emitted string is a validated
+        // scenario name or a static executor name, so no escaping is
+        // needed.
+        let sim_s = horizon.as_secs_f64();
+        let wall_ms = elapsed.as_secs_f64() * 1e3;
         let json = format!(
-            "{{\n  \"scenario\": \"{scenario}\",\n  \"executor\": \"{}\",\n  \
+            "{{\n  \"scenario\": \"{scenario}\",\n  \"executor\": \"{executor}\",{layout}\n  \
              \"seed\": {seed},\n  \"sim_seconds\": {:.3},\n  \"wall_ms\": {:.3},\n  \
-             \"wall_ms_per_sim_s\": {:.4}{gating}\n}}\n",
-            sim.executor_name(),
+             \"wall_ms_per_sim_s\": {:.4}{extra}\n}}\n",
             sim_s,
             wall_ms,
             wall_ms / sim_s.max(f64::MIN_POSITIVE),
@@ -895,11 +1028,13 @@ fn run_serial_cmd(
         })?;
         println!("bench: wrote {path}");
     }
-    write_obs_exports(args, &sim)?;
-    dashboard(sim.report(), sites);
-    degradation_summary(sim.report(), sim.trace());
-    churn_summary(sim.report());
-    audit_summary(args, sim.audit_state().cloned())
+    write_obs_exports(args, &engine, false)?;
+    dashboard(report, sites);
+    let sets = engine.observers();
+    let traces: Vec<&TraceLog> = sets.iter().filter_map(|(_, o)| o.trace()).collect();
+    degradation_summary(report, &traces);
+    churn_summary(report);
+    audit_summary(args, merged_audit(sets.iter().map(|(_, o)| *o)))
 }
 
 /// Prints the `--paranoid` auditor tallies (and the first recorded
@@ -952,12 +1087,16 @@ struct CrashReport {
 fn emit_crash_report(
     scenario: &str,
     seed: u64,
-    shard: u32,
-    at: SimTime,
-    tick: u64,
-    message: &str,
+    crash: &ShardCrash,
     last_checkpoint: Option<&Path>,
 ) -> CliError {
+    let ShardCrash {
+        shard,
+        at,
+        tick,
+        ref message,
+        ..
+    } = *crash;
     let report = CrashReport {
         schema: "gdisim.crash.v1".into(),
         scenario: scenario.into(),
@@ -965,7 +1104,7 @@ fn emit_crash_report(
         shard,
         at_secs: at.as_secs_f64(),
         tick,
-        panic: message.into(),
+        panic: message.clone(),
         last_checkpoint: last_checkpoint.map(|p| p.display().to_string()),
     };
     match serde_json::to_string_pretty(&report) {
@@ -977,156 +1116,6 @@ fn emit_crash_report(
         at.as_secs_f64(),
         last_checkpoint.map_or(String::new(), |p| format!("; resume from {}", p.display()))
     ))
-}
-
-/// The `run` subcommand under `--shards N` (N > 1), shared by fresh
-/// runs and `--resume`: runs the sharded engine in lookahead windows,
-/// prints the per-shard window/barrier/mailbox summary on top of the
-/// usual dashboards, and serves `--bench-json`/`--profile-json` from
-/// the merged counters. Checkpoints land only on whole-window
-/// boundaries — the cadence is rounded *up* to a multiple of the
-/// lookahead window so a resumed run keeps the exact window grid (and
-/// therefore the exact mailbox delivery schedule) of an uninterrupted
-/// one.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_cmd(
-    args: &Args,
-    mut sharded: ShardedSimulation,
-    dt: SimDuration,
-    horizon: SimTime,
-    scenario: &str,
-    seed: u64,
-    sites: &[&str],
-    header: String,
-) -> Result<(), CliError> {
-    if args.progress.is_some() {
-        return Err(CliError::Usage(
-            "--progress is not supported with --shards > 1".into(),
-        ));
-    }
-    if args.trace_perfetto.is_some() {
-        return Err(CliError::Usage(
-            "--trace-perfetto exports a single engine's step-phase spans; \
-             run with --shards 1 to use it"
-                .into(),
-        ));
-    }
-    if args.paranoid {
-        sharded.set_paranoid(true);
-    }
-    if let Some((shard, secs)) = args.inject_panic {
-        sharded.inject_panic_at(shard, SimTime::from_secs(secs));
-    }
-    if args.profile_json.is_some() || args.bench_json.is_some() {
-        sharded.enable_profiler(0);
-    }
-    println!(
-        "{header}, {} shards x {}-tick windows",
-        sharded.shards(),
-        sharded.window_ticks()
-    );
-    let wall = std::time::Instant::now();
-    // Checkpoint cadence in whole windows (ceiling, at least one).
-    let window = dt * sharded.window_ticks();
-    let every = args.checkpoint_every.map(|secs| {
-        let wanted = SimDuration::from_secs(secs);
-        window * (wanted.as_micros().div_ceil(window.as_micros()).max(1))
-    });
-    let mut next_ckpt = every.map(|e| sharded.now() + e);
-    let mut last_ckpt: Option<PathBuf> = None;
-    loop {
-        let target = match next_ckpt {
-            Some(n) if n < horizon => n,
-            _ => horizon,
-        };
-        if let Err(crash) = sharded.try_run_until(target) {
-            flush_partial_obs_sharded(args, &sharded);
-            return Err(emit_crash_report(
-                scenario,
-                seed,
-                crash.shard,
-                crash.at,
-                crash.tick,
-                &crash.message,
-                last_ckpt.as_deref(),
-            ));
-        }
-        if target >= horizon {
-            break;
-        }
-        let path =
-            snapshot::checkpoint_path(Path::new(&args.checkpoint_dir), scenario, sharded.now());
-        Snapshot::write_sharded(&path, scenario, seed, &sharded)?;
-        println!("checkpoint: wrote {}", path.display());
-        last_ckpt = Some(path);
-        next_ckpt = next_ckpt.zip(every).map(|(n, e)| n + e);
-    }
-    let elapsed = wall.elapsed();
-    println!("simulated {horizon} in {elapsed:?}");
-    let stats = sharded.stats();
-    let sent: u64 = stats.iter().map(|s| s.mail_sent).sum();
-    let violations: u64 = stats.iter().map(|s| s.ordering_violations).sum();
-    println!(
-        "shards: {} windows, {sent} cross-shard envelopes, {violations} ordering violations",
-        stats.first().map_or(0, |s| s.windows),
-    );
-    for (i, st) in stats.iter().enumerate() {
-        println!(
-            "  shard {i}: stepped {:.1} ms, waited {:.1} ms at barriers, \
-             {} sent / {} received",
-            st.window_wall_ns as f64 / 1e6,
-            st.barrier_wait_ns as f64 / 1e6,
-            st.mail_sent,
-            st.mail_received,
-        );
-    }
-    if let Some(path) = &args.bench_json {
-        let sim_s = horizon.as_secs_f64();
-        let wall_ms = elapsed.as_secs_f64() * 1e3;
-        let json = format!(
-            "{{\n  \"scenario\": \"{scenario}\",\n  \"executor\": \"sharded\",\n  \
-             \"shards\": {},\n  \"window_ticks\": {},\n  \"seed\": {},\n  \
-             \"sim_seconds\": {:.3},\n  \"wall_ms\": {:.3},\n  \
-             \"wall_ms_per_sim_s\": {:.4},\n  \"mailbox_sent\": {sent},\n  \
-             \"ordering_violations\": {violations}\n}}\n",
-            sharded.shards(),
-            sharded.window_ticks(),
-            seed,
-            sim_s,
-            wall_ms,
-            wall_ms / sim_s.max(f64::MIN_POSITIVE),
-        );
-        std::fs::write(path, json).map_err(|source| CliError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        println!("bench: wrote {path}");
-    }
-    if let Some(path) = &args.profile_json {
-        let json = serde_json::to_string_pretty(&sharded.profile_value())
-            .map_err(|e| CliError::Internal(format!("profile not serializable: {e}")))?;
-        std::fs::write(path, json).map_err(|source| CliError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        println!("profile: wrote {path}");
-    }
-    if let Some(path) = &args.trace_jsonl {
-        write_sharded_trace_jsonl(path, &sharded)?;
-    }
-    if let Some(path) = &args.optrace_json {
-        let (json, n) = render_sharded_optrace_doc(&sharded)?;
-        std::fs::write(path, json).map_err(|source| CliError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        println!("optrace: wrote {path} ({n} ops)");
-    }
-    let report = sharded.report();
-    dashboard(&report, sites);
-    degradation_summary(&report, sharded.traces().first().copied().flatten());
-    churn_summary(&report);
-    audit_summary(args, sharded.audit_state())
 }
 
 /// Site list and default horizon for a built-in scenario name — what a
@@ -1147,11 +1136,10 @@ fn scenario_context(scenario: &str, hours: u64) -> Result<(Vec<&'static str>, Si
 /// restores whichever engine (serial or sharded) it holds and continues
 /// to the horizon. Scenario, seed and every installed layer come from
 /// the checkpoint; tracing continues from the serialized log (it is
-/// *not* re-enabled, which would truncate it), while the observational
-/// profiler, the `--paranoid` auditor and `--trace-ops` operation
-/// tracing are re-applied from the flags (the span recorder is never
-/// serialized, so a resumed export covers operations launched after
-/// the checkpoint).
+/// *not* re-enabled, which would truncate it), while the other
+/// observers are re-applied from the flags by [`run_engine`] (the
+/// span recorder is never serialized, so a resumed export covers
+/// operations launched after the checkpoint).
 fn cmd_resume(args: &Args, path: &str) -> Result<(), CliError> {
     if args.faults.is_some() || args.churn.is_some() || args.resilience.is_some() {
         return Err(CliError::Usage(
@@ -1179,19 +1167,16 @@ fn cmd_resume(args: &Args, path: &str) -> Result<(), CliError> {
         "resume: scenario {scenario}, seed {seed}, from {} to {horizon}",
         snap.meta.now
     );
-    match snap.payload {
-        SnapshotPayload::Serial(mut sim) => {
+    let engine = match snap.payload {
+        SnapshotPayload::Serial(sim) => {
             if args.shards > 1 {
                 return Err(CliError::Usage(
                     "the checkpoint holds a serial engine; drop --shards to resume it".into(),
                 ));
             }
-            if let Some(rate) = optrace_rate(args) {
-                sim.enable_optrace(rate);
-            }
-            run_serial_cmd(args, *sim, horizon, &scenario, seed, &sites, header)
+            Engine::Serial(sim)
         }
-        SnapshotPayload::Sharded(mut sharded) => {
+        SnapshotPayload::Sharded(sharded) => {
             if args.shards > 1 && args.shards != sharded.shards() {
                 return Err(CliError::Usage(format!(
                     "the checkpoint holds {} shards; --shards {} cannot change that on resume",
@@ -1199,13 +1184,10 @@ fn cmd_resume(args: &Args, path: &str) -> Result<(), CliError> {
                     args.shards
                 )));
             }
-            if let Some(rate) = optrace_rate(args) {
-                sharded.enable_optrace(rate);
-            }
-            let dt = sharded.dt();
-            run_sharded_cmd(args, *sharded, dt, horizon, &scenario, seed, &sites, header)
+            Engine::Sharded(sharded)
         }
-    }
+    };
+    run_engine(args, engine, horizon, &scenario, seed, &sites, header)
 }
 
 /// Runs the simulation to `horizon`, printing a heartbeat line to
@@ -1261,174 +1243,86 @@ fn drained_events(sim: &Simulation) -> u64 {
 /// JSON (step-loop profile plus a metrics-registry snapshot), the
 /// Perfetto trace (per-step phase spans, plus per-DC operation span
 /// tracks when `--trace-ops` is on), the trace JSONL (one simulation
-/// event per line plus a `dropped_by_kind` trailer) and the
-/// `gdisim.optrace.v1` operation-trace document.
-fn write_obs_exports(args: &Args, sim: &Simulation) -> Result<(), CliError> {
-    let io_err = |path: &String| {
-        let path = path.clone();
-        move |source| CliError::Io { path, source }
+/// event per line plus a `dropped_by_kind` trailer; shard `i > 0` of a
+/// sharded run writes to `PATH.shardI`) and the `gdisim.optrace.v1`
+/// operation-trace document (merged across shards, op entries tagged
+/// with their shard).
+///
+/// After a crash (`crashed`) only the trace JSONL and a partial optrace
+/// document (live, unsettled operations included) are written — the
+/// events and spans leading up to the panic are exactly what a
+/// post-mortem needs — and each is best effort: a failure prints to
+/// stderr rather than masking the crash.
+fn write_obs_exports(args: &Args, engine: &Engine, crashed: bool) -> Result<(), CliError> {
+    let sets = engine.observers();
+    let write = |path: &str, bytes: &[u8]| {
+        std::fs::write(path, bytes).map_err(|source| CliError::Io {
+            path: path.to_string(),
+            source,
+        })
     };
-    if let Some(path) = &args.profile_json {
-        let profile = sim
-            .step_profile()
-            .ok_or_else(|| CliError::Internal("profiler was not enabled for this run".into()))?;
-        let json = gdisim_obs::export::profile_json(&profile, Some(&sim.metrics_snapshot()));
-        std::fs::write(path, json).map_err(io_err(path))?;
+    let settle = |res: Result<(), CliError>| match res {
+        Err(e) if crashed => {
+            eprintln!("could not flush after the crash: {e}");
+            Ok(())
+        }
+        res => res,
+    };
+    if let (Some(path), false) = (&args.profile_json, crashed) {
+        let json = match engine {
+            Engine::Serial(sim) => {
+                let profile = sim.step_profile().ok_or_else(|| {
+                    CliError::Internal("profiler was not enabled for this run".into())
+                })?;
+                gdisim_obs::export::profile_json(&profile, Some(&sim.metrics_snapshot()))
+            }
+            Engine::Sharded(sharded) => serde_json::to_string_pretty(&sharded.profile_value())
+                .map_err(|e| CliError::Internal(format!("profile not serializable: {e}")))?,
+        };
+        write(path, json.as_bytes())?;
         println!("profile: wrote {path}");
     }
-    if let Some(path) = &args.trace_perfetto {
-        let spans = sim.profiler().map(|p| p.spans()).unwrap_or(&[]);
-        let ops = optrace_perfetto_events(sim);
-        std::fs::write(path, gdisim_obs::perfetto::render_trace_with(spans, ops))
-            .map_err(io_err(path))?;
+    if let (Some(path), false) = (&args.trace_perfetto, crashed) {
+        // Serial runs only: a sharded run refuses the flag up front.
+        let spans = engine.labels().profiler().map(|p| p.spans()).unwrap_or(&[]);
+        let ops = optrace_perfetto_events(engine.labels(), &sets);
+        write(
+            path,
+            gdisim_obs::perfetto::render_trace_with(spans, ops).as_bytes(),
+        )?;
         println!("perfetto: wrote {path} ({} spans)", spans.len());
     }
     if let Some(path) = &args.trace_jsonl {
-        let trace = sim
-            .trace()
-            .ok_or_else(|| CliError::Internal("trace log was not enabled for this run".into()))?;
-        let file = std::fs::File::create(path).map_err(io_err(path))?;
-        trace
-            .write_jsonl(std::io::BufWriter::new(file))
-            .map_err(io_err(path))?;
-        println!("trace: wrote {path} ({} events)", trace.events().len());
+        settle(write_trace_jsonl(path, &sets))?;
     }
     if let Some(path) = &args.optrace_json {
-        let rec = sim.optrace().ok_or_else(|| {
-            CliError::Internal("operation tracing was not enabled for this run".into())
-        })?;
-        let (json, n) = render_optrace_doc(sim, &[(None, rec)])?;
-        std::fs::write(path, json).map_err(io_err(path))?;
-        println!("optrace: wrote {path} ({n} ops)");
+        settle(
+            render_optrace_doc(engine.labels(), &sets).and_then(|(json, n)| {
+                write(path, json.as_bytes())?;
+                println!("optrace: wrote {path} ({n} ops)");
+                Ok(())
+            }),
+        )?;
     }
     Ok(())
 }
 
-/// Perfetto async-span events for every sampled operation, grouped into
-/// one synthetic process per client data center (pids 100+dc, clear of
-/// the real step-phase pids). Empty when operation tracing is off.
-fn optrace_perfetto_events(sim: &Simulation) -> Vec<serde::Value> {
-    let Some(rec) = sim.optrace() else {
-        return Vec::new();
-    };
-    let entries: Vec<(Option<u32>, &gdisim_obs::OpRecord)> = rec
-        .export_records()
-        .into_iter()
-        .map(|r| (None, r))
+/// Writes each engine's trace log as JSON Lines: shard 0 (or the serial
+/// engine) lands at `path` verbatim, shard `i` at `path.shardI`.
+fn write_trace_jsonl(path: &str, sets: &[(Option<u32>, &Observers)]) -> Result<(), CliError> {
+    let traces: Vec<_> = sets
+        .iter()
+        .filter_map(|(shard, o)| Some((shard.unwrap_or(0), o.trace()?)))
         .collect();
-    gdisim_obs::op_perfetto_events(
-        &entries,
-        &|k| sim.key_labels(k),
-        &|k| 100 + k.dc.index() as u64,
-        &|k| format!("clients@{}", sim.key_labels(k).2),
-    )
-}
-
-/// Renders the `gdisim.optrace.v1` document from one or more (shard,
-/// recorder) pairs — one pair for a serial run, one per shard for a
-/// sharded run, where counters and the attribution table merge and op
-/// entries carry their shard tag. Labels resolve against `label_sim`'s
-/// registry (every shard replicates the catalog and topology). Returns
-/// the pretty-printed JSON and the number of exported operations.
-fn render_optrace_doc(
-    label_sim: &Simulation,
-    recorders: &[(Option<u32>, &gdisim_core::OpTraceRecorder)],
-) -> Result<(String, usize), CliError> {
-    let key_labels = |k: &gdisim_metrics::ResponseKey| label_sim.key_labels(k);
-    let agent_label = |a: u32| label_sim.agent_label(a);
-    let mut counters = gdisim_obs::OptraceCounters::default();
-    let mut agg = gdisim_metrics::AttributionAggregator::new();
-    let mut ops = Vec::new();
-    let (mut seed, mut rate) = (0u64, 0.0f64);
-    for (shard, rec) in recorders {
-        seed = rec.seed();
-        rate = rec.rate();
-        let c = rec.counters();
-        counters.sampled += c.sampled;
-        counters.finished += c.finished;
-        counters.dropped += c.dropped;
-        agg.merge_from(rec.aggregator());
-        for r in rec.export_records() {
-            ops.push(gdisim_obs::op_to_value(
-                *shard,
-                r,
-                &key_labels,
-                &agent_label,
-            ));
-        }
+    if traces.is_empty() {
+        return Err(CliError::Internal(
+            "trace log was not enabled for this run".into(),
+        ));
     }
-    let n = ops.len();
-    let doc = gdisim_obs::render_optrace(seed, rate, counters, agg.to_value(key_labels), ops);
-    let json = serde_json::to_string_pretty(&doc)
-        .map_err(|e| CliError::Internal(format!("optrace not serializable: {e}")))?;
-    Ok((json, n))
-}
-
-/// Best-effort flush of crash-relevant observability state — the
-/// `--trace-jsonl` event log and a partial `--optrace-json` document
-/// (live, unsettled operations included) — before the crash report goes
-/// out: the events and spans leading up to the panic are exactly what a
-/// post-mortem needs. Failures here print to stderr rather than masking
-/// the crash itself.
-fn flush_partial_obs(args: &Args, sim: &Simulation) {
-    if let Some(path) = &args.trace_jsonl {
-        if let Some(trace) = sim.trace() {
-            let res = std::fs::File::create(path)
-                .and_then(|f| trace.write_jsonl(std::io::BufWriter::new(f)));
-            match res {
-                Ok(()) => println!("trace: wrote {path} ({} events)", trace.events().len()),
-                Err(e) => eprintln!("trace: could not flush {path}: {e}"),
-            }
-        }
-    }
-    if let (Some(path), Some(rec)) = (&args.optrace_json, sim.optrace()) {
-        let res = render_optrace_doc(sim, &[(None, rec)]).and_then(|(json, n)| {
-            std::fs::write(path, json).map_err(|source| CliError::Io {
-                path: path.clone(),
-                source,
-            })?;
-            Ok(n)
-        });
-        match res {
-            Ok(n) => println!("optrace: wrote {path} ({n} ops)"),
-            Err(e) => eprintln!("optrace: could not flush {path}: {e}"),
-        }
-    }
-}
-
-/// [`flush_partial_obs`] for a sharded run: every shard's trace log and
-/// the merged partial optrace document.
-fn flush_partial_obs_sharded(args: &Args, sharded: &ShardedSimulation) {
-    if let Some(path) = &args.trace_jsonl {
-        if let Err(e) = write_sharded_trace_jsonl(path, sharded) {
-            eprintln!("trace: could not flush {path}: {e}");
-        }
-    }
-    if let Some(path) = &args.optrace_json {
-        let res = render_sharded_optrace_doc(sharded).and_then(|(json, n)| {
-            std::fs::write(path, json).map_err(|source| CliError::Io {
-                path: path.clone(),
-                source,
-            })?;
-            Ok(n)
-        });
-        match res {
-            Ok(n) => println!("optrace: wrote {path} ({n} ops)"),
-            Err(e) => eprintln!("optrace: could not flush {path}: {e}"),
-        }
-    }
-}
-
-/// Writes each shard's simulation trace as JSON Lines: shard 0 lands at
-/// `path` verbatim (so single-shard tooling keeps working), shard `i`
-/// at `path.shardN`.
-fn write_sharded_trace_jsonl(path: &str, sharded: &ShardedSimulation) -> Result<(), CliError> {
-    for (i, trace) in sharded.traces().into_iter().enumerate() {
-        let Some(trace) = trace else { continue };
-        let shard_path = if i == 0 {
-            path.to_string()
-        } else {
-            format!("{path}.shard{i}")
+    for (shard, trace) in traces {
+        let shard_path = match shard {
+            0 => path.to_string(),
+            i => format!("{path}.shard{i}"),
         };
         let io_err = |source| CliError::Io {
             path: shard_path.clone(),
@@ -1446,21 +1340,67 @@ fn write_sharded_trace_jsonl(path: &str, sharded: &ShardedSimulation) -> Result<
     Ok(())
 }
 
-/// [`render_optrace_doc`] over every shard's recorder, with shard-tagged
-/// op entries and counters/attribution merged across shards.
-fn render_sharded_optrace_doc(sharded: &ShardedSimulation) -> Result<(String, usize), CliError> {
-    let recorders: Vec<(Option<u32>, &gdisim_core::OpTraceRecorder)> = sharded
-        .optraces()
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.map(|r| (Some(i as u32), r)))
+/// Perfetto async-span events for every sampled operation, grouped into
+/// one synthetic process per client data center (pids 100+dc, clear of
+/// the real step-phase pids). Empty when operation tracing is off.
+fn optrace_perfetto_events(
+    labels: &Simulation,
+    sets: &[(Option<u32>, &Observers)],
+) -> Vec<serde::Value> {
+    let entries: Vec<(Option<u32>, &gdisim_obs::OpRecord)> = sets
+        .iter()
+        .filter_map(|(shard, o)| Some((*shard, o.spans()?)))
+        .flat_map(|(shard, rec)| rec.export_records().into_iter().map(move |r| (shard, r)))
+        .collect();
+    gdisim_obs::op_perfetto_events(
+        &entries,
+        &|k| labels.key_labels(k),
+        &|k| 100 + k.dc.index() as u64,
+        &|k| format!("clients@{}", labels.key_labels(k).2),
+    )
+}
+
+/// Renders the `gdisim.optrace.v1` document from every set's span
+/// recorder — counters and the attribution table merge across shards
+/// and op entries carry their shard tag. Labels resolve against
+/// `labels`. Returns the pretty-printed JSON and the number of exported
+/// operations.
+fn render_optrace_doc(
+    labels: &Simulation,
+    sets: &[(Option<u32>, &Observers)],
+) -> Result<(String, usize), CliError> {
+    let recorders: Vec<_> = sets
+        .iter()
+        .filter_map(|(shard, o)| Some((*shard, o.spans()?)))
         .collect();
     if recorders.is_empty() {
         return Err(CliError::Internal(
             "operation tracing was not enabled for this run".into(),
         ));
     }
-    render_optrace_doc(sharded.shard_sim(0), &recorders)
+    let key_labels = |k: &gdisim_metrics::ResponseKey| labels.key_labels(k);
+    let agent_label = |a: u32| labels.agent_label(a);
+    let mut counters = gdisim_obs::OptraceCounters::default();
+    let mut agg = gdisim_metrics::AttributionAggregator::new();
+    let mut ops = Vec::new();
+    let (mut seed, mut rate) = (0u64, 0.0f64);
+    for (shard, rec) in recorders {
+        seed = rec.seed();
+        rate = rec.rate();
+        let c = rec.counters();
+        counters.sampled += c.sampled;
+        counters.finished += c.finished;
+        counters.dropped += c.dropped;
+        agg.merge_from(rec.aggregator());
+        for r in rec.export_records() {
+            ops.push(gdisim_obs::op_to_value(shard, r, &key_labels, &agent_label));
+        }
+    }
+    let n = ops.len();
+    let doc = gdisim_obs::render_optrace(seed, rate, counters, agg.to_value(key_labels), ops);
+    let json = serde_json::to_string_pretty(&doc)
+        .map_err(|e| CliError::Internal(format!("optrace not serializable: {e}")))?;
+    Ok((json, n))
 }
 
 fn run_cli(args: &Args) -> Result<(), CliError> {

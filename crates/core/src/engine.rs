@@ -22,15 +22,15 @@ use crate::churn::{incident_stream, ChurnModel, ChurnModelError, ChurnProcess};
 use crate::config::{MasterPolicy, SimulationConfig};
 use crate::fault::{FaultAction, FaultPlan, FaultPlanError, FaultTarget, InFlightPolicy};
 use crate::flight::{Chain, FlightTable, Instance, InstanceKind};
+use crate::observe::{Event, Observers};
 use crate::report::{BackgroundRecord, ChurnComponentRecord, HealthEventError, Report};
 use crate::router::compile_with;
+use crate::trace::TraceEvent;
 use crate::wheel::{EventClass, TimerWheel};
 use gdisim_background::{BackgroundKind, BackgroundLaunch, BackgroundScheduler};
 use gdisim_infra::{ComponentKind, Infrastructure};
 use gdisim_metrics::{MetricsRegistry, ResponseKey};
-use gdisim_obs::{
-    StepProfile, StepProfiler, PHASE_ADVANCE, PHASE_COLLECT, PHASE_DRAIN, PHASE_ROUTE,
-};
+use gdisim_obs::{StepProfile, StepProfiler, PHASE_ADVANCE, PHASE_DRAIN, PHASE_ROUTE};
 use gdisim_queueing::{JobToken, SplitMix64, Station};
 use gdisim_types::{AppId, DcId, OpTypeId, SimTime};
 use gdisim_workload::{
@@ -351,8 +351,6 @@ pub struct Simulation {
     /// Live sessions: id -> (traffic-source index, workload site index).
     sessions: HashMap<u64, (usize, usize)>,
     next_session: u64,
-    /// Optional message-level trace (see [`crate::trace`]).
-    trace: Option<crate::trace::TraceLog>,
     /// Last collection boundary — idle time before it is already in the
     /// report, so lazy idle crediting never reaches further back.
     meter_epoch: SimTime,
@@ -376,14 +374,6 @@ pub struct Simulation {
     /// wheel (diurnal Poisson draws, session population tracking). When
     /// zero, the traffic scan itself sits behind the series gate.
     polled_sources: usize,
-    /// Optional step-loop profiler (see [`gdisim_obs`]). Strictly
-    /// observational: it only reads the wall clock and counters, never
-    /// simulation state or randomness, so enabling it cannot change
-    /// results.
-    profiler: Option<StepProfiler>,
-    /// Last-seen snapshot of the wheel's monotone per-class cancellation
-    /// counters; the profiler is fed the per-step deltas.
-    cancelled_seen: [u64; EventClass::ALL.len()],
     /// Stochastic churn runtime; `None` (or an empty model) leaves every
     /// step bit-identical to a churn-free run.
     churn: Option<ChurnRuntime>,
@@ -397,18 +387,13 @@ pub struct Simulation {
     /// one shard of a [`crate::shard::ShardedSimulation`]; `None` on a
     /// serial engine (no interception, zero overhead on the hot paths).
     shard: Option<crate::shard::ShardCtx>,
-    /// Invariant auditor (`--paranoid`); `None` costs nothing. Strictly
-    /// read-only over simulation state — see [`crate::audit`].
-    audit: Option<crate::audit::AuditState>,
     /// Supervision test hook: the first step at or past this time
     /// panics. Never serialized — a resumed run must not re-crash.
     panic_at: Option<SimTime>,
-    /// Operation-trace recorder (`--trace-ops`); `None` costs nothing.
-    /// Strictly observational (no RNG draws, no state mutation), so
-    /// results are bit-identical with it on or off at any sample rate.
-    /// Never serialized: a resumed run restarts with an empty recorder
-    /// (in-flight traced operations are deliberately dropped).
-    optrace: Option<Box<crate::optrace::OpTraceRecorder>>,
+    /// The observer set (trace log, span recorder, profiler, auditor;
+    /// see [`crate::observe`]); `None` until one is enabled, so an
+    /// unobserved run pays one branch per hook site.
+    obs: Option<Box<Observers>>,
 }
 
 /// Why a simulation (or one of its workloads) could not be built from
@@ -493,7 +478,6 @@ impl Simulation {
             session_wakes: std::collections::BinaryHeap::new(),
             sessions: HashMap::new(),
             next_session: 0,
-            trace: None,
             meter_epoch: SimTime::ZERO,
             tick_all: false,
             active_scratch: Vec::new(),
@@ -501,15 +485,12 @@ impl Simulation {
             always_poll: false,
             wheel: None,
             polled_sources: 0,
-            profiler: None,
-            cancelled_seen: [0; EventClass::ALL.len()],
             churn: None,
             resilience: None,
             orphans: HashSet::new(),
             shard: None,
-            audit: None,
             panic_at: None,
-            optrace: None,
+            obs: None,
         })
     }
 
@@ -905,55 +886,68 @@ impl Simulation {
     /// microscope the abstract promises ("navigate down to the detail of
     /// individual elements").
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(crate::trace::TraceLog::new(capacity));
+        self.observers_mut().trace = Some(crate::trace::TraceLog::new(capacity));
     }
 
     /// The trace recorded so far, if tracing is enabled.
     pub fn trace(&self) -> Option<&crate::trace::TraceLog> {
-        self.trace.as_ref()
+        self.obs.as_ref()?.trace()
     }
 
-    /// Enables the step-loop profiler. `span_capacity` bounds the number
-    /// of wall-clock phase spans retained for Perfetto export (0 keeps
-    /// aggregates only). Purely observational — the profiler reads the
-    /// monotonic clock and counters, never simulation state or
-    /// randomness, so results are bit-identical with it on or off (the
-    /// observability equivalence tests pin this).
+    /// Enables the step-loop profiler (see [`crate::observe`]).
+    /// `span_capacity` bounds the wall-clock phase spans retained for
+    /// Perfetto export (0 keeps aggregates only).
     pub fn enable_profiler(&mut self, span_capacity: usize) {
-        self.profiler = Some(StepProfiler::with_span_capacity(span_capacity));
+        self.observers_mut().profiler = Some(StepProfiler::with_span_capacity(span_capacity));
     }
 
     /// The live profiler, if enabled (spans for Perfetto export).
     pub fn profiler(&self) -> Option<&StepProfiler> {
-        self.profiler.as_ref()
+        self.obs.as_ref()?.profiler()
     }
 
     /// Aggregated step profile so far, if the profiler is enabled, with
     /// drain slots labeled by [`EventClass::label`].
     pub fn step_profile(&self) -> Option<StepProfile> {
         let labels = EventClass::ALL.map(EventClass::label);
-        self.profiler.as_ref().map(|p| p.profile(&labels))
+        self.profiler().map(|p| p.profile(&labels))
     }
 
-    /// Enables causal operation tracing (`--trace-ops`): a deterministic
-    /// `(seed, instance)`-keyed fraction `rate` of client operations is
-    /// recorded as span trees (attempt → hedge half → message → hop)
-    /// and decomposed into queue/service/WAN/backoff/hedge-wait latency
-    /// components. Strictly observational — the recorder draws no
-    /// randomness and touches no simulation state, so results are
-    /// bit-identical with tracing on or off at any rate (the optrace
-    /// equivalence proptests pin this).
+    /// Enables causal operation tracing (`--trace-ops`, see
+    /// [`crate::observe`]): a deterministic `(seed, instance)`-keyed
+    /// fraction `rate` of operations is recorded as span trees (attempt
+    /// → hedge half → message → hop) with latency attribution.
     pub fn enable_optrace(&mut self, rate: f64) {
-        self.optrace = Some(Box::new(crate::optrace::OpTraceRecorder::new(
+        let seed = self.config.seed;
+        self.observers_mut().spans = Some(crate::optrace::OpTraceRecorder::new(
             rate,
-            self.config.seed,
+            seed,
             crate::optrace::DEFAULT_FINISHED_CAP,
-        )));
+        ));
     }
 
     /// The operation-trace recorder, if enabled.
     pub fn optrace(&self) -> Option<&crate::optrace::OpTraceRecorder> {
-        self.optrace.as_deref()
+        self.obs.as_ref()?.spans()
+    }
+
+    /// The observer set, when any observer is enabled.
+    pub fn observers(&self) -> Option<&Observers> {
+        self.obs.as_deref()
+    }
+
+    /// The observer set, created empty on first use.
+    fn observers_mut(&mut self) -> &mut Observers {
+        self.obs.get_or_insert_with(Default::default)
+    }
+
+    /// Hands `ev`, stamped `at`, to the observer set — a single branch
+    /// when nothing observes the run.
+    #[inline]
+    fn emit(&mut self, at: SimTime, ev: Event<'_>) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.emit(at, ev);
+        }
     }
 
     /// Resolves a response key into human-readable (application,
@@ -1028,65 +1022,7 @@ impl Simulation {
     /// state export byte-identically.
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
-        r.set_counter("responses.recorded", self.report.responses.total_recorded());
-        r.set_counter(
-            "faults.failed_operations",
-            self.report.faults.failed_operations,
-        );
-        r.set_counter(
-            "faults.retried_operations",
-            self.report.faults.retried_operations,
-        );
-        r.set_counter(
-            "faults.abandoned_operations",
-            self.report.faults.abandoned_operations,
-        );
-        r.set_counter(
-            "faults.dropped_messages",
-            self.report.faults.dropped_messages,
-        );
-        r.set_counter("faults.skipped_events", self.report.faults.skipped_events);
-        r.set_counter("churn.incidents", self.report.churn.incidents);
-        r.set_counter("churn.repairs", self.report.churn.repairs);
-        r.set_counter(
-            "churn.refused_incidents",
-            self.report.churn.refused_incidents,
-        );
-        r.set_counter(
-            "resilience.hedges_launched",
-            self.report.resilience.hedges_launched,
-        );
-        r.set_counter("resilience.hedge_wins", self.report.resilience.hedge_wins);
-        r.set_counter(
-            "resilience.hedges_cancelled",
-            self.report.resilience.hedges_cancelled,
-        );
-        r.set_counter(
-            "resilience.breaker_trips",
-            self.report.resilience.breaker_trips,
-        );
-        r.set_counter(
-            "resilience.breaker_rejections",
-            self.report.resilience.breaker_rejections,
-        );
-        r.set_counter(
-            "resilience.shed_operations",
-            self.report.resilience.shed_operations,
-        );
-        if let Some(t) = &self.trace {
-            r.set_counter("trace.recorded", t.events().len() as u64);
-            r.set_counter("trace.dropped", t.dropped());
-        }
-        if let Some(o) = &self.optrace {
-            let c = o.counters();
-            r.set_counter("optrace.sampled", c.sampled);
-            r.set_counter("optrace.finished", c.finished);
-            r.set_counter("optrace.dropped", c.dropped);
-        }
-        if let Some(a) = &self.audit {
-            r.set_counter("audit.checks", a.checks);
-            r.set_counter("audit.violations", a.violations);
-        }
+        crate::observe::export_counters(&mut r, &self.report, self.obs.as_deref().as_slice());
         if let Some(s) = self.config.executor.stats() {
             r.set_counter("executor.phases", s.phases);
             r.set_counter("executor.items", s.items);
@@ -1232,22 +1168,22 @@ impl Simulation {
         }
     }
 
-    /// Switches the runtime invariant auditor (see [`crate::audit`]) on
-    /// or off. The auditor re-derives the engine's conservation
-    /// invariants at every measurement collection; it is strictly
-    /// read-only, so results are bit-for-bit identical either way —
-    /// only wall time changes (each pass is O(state)).
+    /// Switches the invariant auditor (see [`crate::audit`]) on or off:
+    /// every measurement collection re-derives the engine's conservation
+    /// invariants, at O(state) wall time per pass.
     pub fn set_paranoid(&mut self, on: bool) {
         if on {
-            self.audit.get_or_insert_with(Default::default);
-        } else {
-            self.audit = None;
+            self.observers_mut()
+                .audit
+                .get_or_insert_with(Default::default);
+        } else if let Some(o) = self.obs.as_deref_mut() {
+            o.audit = None;
         }
     }
 
     /// The auditor's tallies, when `--paranoid` is on.
     pub fn audit_state(&self) -> Option<&crate::audit::AuditState> {
-        self.audit.as_ref()
+        self.obs.as_ref()?.audit()
     }
 
     /// Runs one audit pass over the current state, recording breaches
@@ -1513,12 +1449,16 @@ impl Simulation {
     /// Accounts one phase-1 drain with the profiler, when one is active.
     /// `ran` says whether the drain executed, `gated` whether the wheel
     /// (as opposed to unconditional polling) let it through, `processed`
-    /// how many events it handled. A no-op when profiling is off.
+    /// how many events it handled.
     #[inline]
     fn note_drain(&mut self, class: EventClass, ran: bool, gated: bool, processed: u64) {
-        if let Some(p) = &mut self.profiler {
-            p.note_drain(class.index(), ran, gated, processed);
-        }
+        let ev = Event::Drain {
+            class,
+            ran,
+            gated,
+            processed,
+        };
+        self.emit(self.now, ev);
     }
 
     /// Supervision test hook: the first step at or past `at` panics
@@ -1537,9 +1477,7 @@ impl Simulation {
         if self.panic_at.is_some_and(|at| now >= at) {
             panic!("injected panic at {now} (supervision test hook)");
         }
-        if let Some(p) = &mut self.profiler {
-            p.begin_step(now.as_micros());
-        }
+        self.emit(now, Event::StepBegin);
 
         // Phase 1: scheduled events, arrivals and daemons. Incidents
         // (churn, fault-plan and health transitions) apply first so
@@ -1562,14 +1500,8 @@ impl Simulation {
         // deltas. Lags the cancellation itself by at most one step, and
         // cancellations after the final step's snapshot go unreported —
         // an observational counter, not simulation state.
-        if let (Some(w), Some(p)) = (&self.wheel, &mut self.profiler) {
-            for (class, &count) in w.cancelled_counts().iter().enumerate() {
-                let seen = &mut self.cancelled_seen[class];
-                if count > *seen {
-                    p.note_cancelled(class, count - *seen);
-                    *seen = count;
-                }
-            }
+        if let (Some(w), Some(o)) = (&self.wheel, self.obs.as_deref_mut()) {
+            o.emit(now, Event::GatesCancelled(&w.cancelled_counts()));
         }
         // Whether a drain that runs this step runs because its gate
         // fired (wheel active) or because every source is polled.
@@ -1622,9 +1554,7 @@ impl Simulation {
         let ran = self.take_gate(EventClass::Background);
         let n = if ran { self.poll_background(now) } else { 0 };
         self.note_drain(EventClass::Background, ran, gated_mode, n);
-        if let Some(p) = &mut self.profiler {
-            p.mark_phase(PHASE_DRAIN);
-        }
+        self.emit(now, Event::Phase(PHASE_DRAIN));
 
         // Phase 2: time increment (§4.3.4/4.3.5). The fast path ticks only
         // the agents currently holding work (in ascending index order);
@@ -1645,9 +1575,7 @@ impl Simulation {
         for m in self.infra.memories_mut() {
             m.advance(dt);
         }
-        if let Some(p) = &mut self.profiler {
-            p.mark_phase(PHASE_ADVANCE);
-        }
+        self.emit(now, Event::Phase(PHASE_ADVANCE));
 
         // Phase 3: interactions — route completions, stamped at the next
         // tick boundary (the §4.3.3 consistency guard). Only ticked agents
@@ -1669,17 +1597,17 @@ impl Simulation {
         }
         self.active_scratch = active;
         for (agent, token) in completed.drain(..) {
-            if self.trace.is_some() {
-                let at = t_next;
-                if let Some(t) = &mut self.trace {
-                    t.record(
-                        at,
-                        crate::trace::TraceEvent::Hop {
-                            token,
-                            agent: gdisim_types::AgentId(agent),
-                        },
-                    );
-                }
+            if let Some(o) = self.obs.as_deref_mut() {
+                let agent = gdisim_types::AgentId(agent);
+                let component = self.infra.component(agent);
+                o.emit(
+                    t_next,
+                    Event::Hop {
+                        token,
+                        agent,
+                        component,
+                    },
+                );
             }
             self.on_token_complete(token, t_next);
         }
@@ -1697,9 +1625,7 @@ impl Simulation {
         } else {
             self.active_scratch.len() as u64
         };
-        if let Some(p) = &mut self.profiler {
-            p.mark_phase(PHASE_ROUTE);
-        }
+        self.emit(now, Event::Phase(PHASE_ROUTE));
 
         // Phase 4: periodic measurement collection. Skipped agents get
         // their idle span credited first so every meter covers the full
@@ -1712,14 +1638,9 @@ impl Simulation {
             self.collect(t_next);
             self.meter_epoch = t_next;
             self.next_collect += self.config.collect_interval;
-            if let Some(p) = &mut self.profiler {
-                p.sample_occupancy(t_next.as_secs_f64(), ticked as f64);
-            }
+            self.emit(t_next, Event::Occupancy(ticked));
         }
-        if let Some(p) = &mut self.profiler {
-            p.mark_phase(PHASE_COLLECT);
-            p.end_step(ticked);
-        }
+        self.emit(now, Event::StepEnd(ticked));
 
         self.now = t_next;
     }
@@ -1983,15 +1904,11 @@ impl Simulation {
             self.report.faults.skipped_events += 1;
             return;
         }
-        if let Some(t) = &mut self.trace {
-            t.record(
-                now,
-                crate::trace::TraceEvent::Fault {
-                    event: event_idx,
-                    fail,
-                },
-            );
-        }
+        let record = TraceEvent::Fault {
+            event: event_idx,
+            fail,
+        };
+        self.emit(now, Event::Record(record));
         if fail {
             // Degraded windows track the union of fault-plan and churn
             // outages: a window opens at the first thing down and
@@ -2062,16 +1979,12 @@ impl Simulation {
                 comp.incidents += 1;
                 comp.next_failure(seed, idx, now)
             } else {
-                if let Some(t) = &mut self.trace {
-                    t.record(
-                        now,
-                        crate::trace::TraceEvent::Churn {
-                            component: idx,
-                            incident,
-                            fail: true,
-                        },
-                    );
-                }
+                let record = TraceEvent::Churn {
+                    component: idx,
+                    incident,
+                    fail: true,
+                };
+                self.emit(now, Event::Record(record));
                 self.report.churn.incidents += 1;
                 if self.total_down() == 0 {
                     self.report.degraded_since = Some(now);
@@ -2109,16 +2022,12 @@ impl Simulation {
             for target in &applied {
                 let _ = self.set_target_health(target, false);
             }
-            if let Some(t) = &mut self.trace {
-                t.record(
-                    now,
-                    crate::trace::TraceEvent::Churn {
-                        component: idx,
-                        incident,
-                        fail: false,
-                    },
-                );
-            }
+            let record = TraceEvent::Churn {
+                component: idx,
+                incident,
+                fail: false,
+            };
+            self.emit(now, Event::Record(record));
             self.report.churn.repairs += 1;
             let next = {
                 let c = self.churn.as_mut().expect("churn runtime installed");
@@ -2203,8 +2112,9 @@ impl Simulation {
                         // the failure mail (the severed hop folds into
                         // queue wait — its service never finished).
                         let segs = self
-                            .optrace
-                            .as_mut()
+                            .obs
+                            .as_deref_mut()
+                            .and_then(|o| o.spans.as_mut())
                             .and_then(|o| o.take_foreign_segs(token, Some(now_us)))
                             .unwrap_or_default();
                         ctx.send(
@@ -2215,9 +2125,7 @@ impl Simulation {
                     }
                 }
                 self.report.faults.dropped_messages += 1;
-                if let Some(o) = self.optrace.as_mut() {
-                    o.abort_token(token, now_us);
-                }
+                self.emit(now, Event::TokenAborted { token });
                 affected.push(state.instance);
             } else {
                 // A job of an operation that already failed: the eviction
@@ -2352,7 +2260,6 @@ impl Simulation {
         why: &'static str,
         now: SimTime,
     ) {
-        let now_us = now.as_micros();
         // A failing half of a live hedged pair is cancelled quietly —
         // nothing is counted and no retry is scheduled; the surviving
         // half owns the operation's outcome (and inherits the chain and
@@ -2365,9 +2272,11 @@ impl Simulation {
         if let Some(p) = partner {
             // Annotate the failing half's cause first — the loser
             // cancel's own hook then no-ops on the already-closed half.
-            if let Some(o) = self.optrace.as_mut() {
-                o.on_half_cancelled(inst_id, Some(why), now_us);
-            }
+            let ev = Event::HalfCancelled {
+                instance: inst_id,
+                cause: Some(why),
+            };
+            self.emit(now, ev);
             self.cancel_hedge_loser(inst_id, p, now);
             self.cancel_stale_timeout_gates();
             self.cancel_stale_hedge_gates();
@@ -2376,7 +2285,7 @@ impl Simulation {
         let Some(inst) = self.flight.instances.remove(&inst_id) else {
             return;
         };
-        let trace_root = self.optrace.as_ref().and_then(|o| o.root_of(inst_id));
+        let trace_root = self.optrace().and_then(|o| o.root_of(inst_id));
         for token in self.flight.tokens_of(inst_id) {
             let state = self.flight.tokens.remove(&token).expect("token listed");
             if let Some((mem_idx, bytes)) = state.plan.mem_hold {
@@ -2384,9 +2293,7 @@ impl Simulation {
             }
             self.report.faults.dropped_messages += 1;
             self.orphans.insert(token);
-            if let Some(o) = self.optrace.as_mut() {
-                o.abort_token(token, now_us);
-            }
+            self.emit(now, Event::TokenAborted { token });
         }
         match cause {
             FailCause::Fault => self.report.faults.failed_operations += 1,
@@ -2443,18 +2350,12 @@ impl Simulation {
                 self.schedule_session_think(sid, now);
             }
         }
-        if let Some(o) = self.optrace.as_mut() {
-            o.on_instance_failed(inst_id, why, will_retry, now_us);
-        }
-        if let Some(t) = &mut self.trace {
-            t.record(
-                now,
-                crate::trace::TraceEvent::OperationFailed {
-                    instance: inst_id,
-                    will_retry,
-                },
-            );
-        }
+        let ev = Event::OperationFailed {
+            instance: inst_id,
+            cause: why,
+            will_retry,
+        };
+        self.emit(now, ev);
     }
 
     // ----- resilience policies -------------------------------------------
@@ -2539,15 +2440,6 @@ impl Simulation {
                 inst.first_launched_at,
             )
         };
-        if let Some(t) = &mut self.trace {
-            t.record(
-                now,
-                crate::trace::TraceEvent::Launch {
-                    instance: self.flight.peek_next_instance(),
-                    key,
-                },
-            );
-        }
         let twin = self.flight.add_instance(Instance {
             key,
             kind: InstanceKind::Client,
@@ -2570,9 +2462,7 @@ impl Simulation {
             .get_mut(&primary)
             .expect("primary checked live")
             .hedge_partner = Some(twin);
-        if let Some(o) = self.optrace.as_mut() {
-            o.on_hedge_twin(primary, twin, now.as_micros());
-        }
+        self.emit(now, Event::HedgeLaunch { primary, twin, key });
         self.report.resilience.hedges_launched += 1;
         let deadline = self.faults.as_mut().and_then(|f| {
             let policy = f.retry?;
@@ -2597,7 +2487,6 @@ impl Simulation {
         let Some(loser) = self.flight.instances.remove(&loser_id) else {
             return;
         };
-        let now_us = now.as_micros();
         let mut dropped = 0u64;
         for token in self.flight.tokens_of(loser_id) {
             let state = self.flight.tokens.remove(&token).expect("token listed");
@@ -2605,16 +2494,16 @@ impl Simulation {
                 self.infra.memories_mut()[mem_idx].release(bytes);
             }
             self.orphans.insert(token);
-            if let Some(o) = self.optrace.as_mut() {
-                o.abort_token(token, now_us);
-            }
+            self.emit(now, Event::TokenAborted { token });
             dropped += 1;
         }
         // No-ops when the failing-half path already closed this half
         // with its cause.
-        if let Some(o) = self.optrace.as_mut() {
-            o.on_half_cancelled(loser_id, None, now_us);
-        }
+        let ev = Event::HalfCancelled {
+            instance: loser_id,
+            cause: None,
+        };
+        self.emit(now, ev);
         self.report.resilience.hedges_cancelled += 1;
         self.report.resilience.hedge_cancelled_messages += dropped;
         if let Some(survivor) = self.flight.instances.get_mut(&survivor_id) {
@@ -2924,15 +2813,6 @@ impl Simulation {
         trace_root: Option<u64>,
     ) {
         let stages = template.stages();
-        if let Some(t) = &mut self.trace {
-            t.record(
-                now,
-                crate::trace::TraceEvent::Launch {
-                    instance: self.flight.peek_next_instance(),
-                    key,
-                },
-            );
-        }
         let (route_client, route_master) = (binding.client, binding.master);
         let id = self.flight.add_instance(Instance {
             key,
@@ -2951,7 +2831,7 @@ impl Simulation {
             hedge_partner: None,
             is_hedge_twin: false,
         });
-        if self.optrace.is_some() {
+        if self.obs.is_some() {
             // Annotate with the breaker state as the client saw it at
             // launch — read before `breaker_admits` advances the state
             // machine below.
@@ -2960,21 +2840,19 @@ impl Simulation {
             } else {
                 "closed"
             };
-            let kind_label = match kind {
+            let kind = match kind {
                 InstanceKind::Client => "client",
                 InstanceKind::Background(..) => "background",
             };
-            if let Some(o) = self.optrace.as_mut() {
-                o.on_launch(
-                    id,
-                    key,
-                    kind_label,
-                    attempt,
-                    breaker,
-                    trace_root,
-                    now.as_micros(),
-                );
-            }
+            let ev = Event::Launch {
+                instance: id,
+                key,
+                kind,
+                attempt,
+                breaker,
+                trace_root,
+            };
+            self.emit(now, ev);
         }
         // Per-route circuit breaker: an open breaker fails the launch
         // fast (a local error response) before any message is compiled
@@ -3035,7 +2913,6 @@ impl Simulation {
                 inst.stage_idx as u32,
             )
         };
-        let now_us = now.as_micros();
         let mut instant: Vec<u64> = Vec::new();
         let mut launched = 0u32;
         for si in range {
@@ -3067,9 +2944,7 @@ impl Simulation {
                                 self.infra.memories_mut()[mem_idx].release(bytes);
                             }
                             self.report.faults.dropped_messages += 1;
-                            if let Some(o) = self.optrace.as_mut() {
-                                o.abort_token(token, now_us);
-                            }
+                            self.emit(now, Event::TokenAborted { token });
                         }
                     }
                     self.fail_instance_with(inst_id, FailCause::Shed, "shed", now);
@@ -3087,9 +2962,7 @@ impl Simulation {
                             self.infra.memories_mut()[mem_idx].release(bytes);
                         }
                         self.report.faults.dropped_messages += 1;
-                        if let Some(o) = self.optrace.as_mut() {
-                            o.abort_token(token, now_us);
-                        }
+                        self.emit(now, Event::TokenAborted { token });
                     }
                 }
                 self.fail_instance(inst_id, "unroutable", now);
@@ -3097,9 +2970,12 @@ impl Simulation {
             }
             let first = plan.hops.pop_front();
             let token = self.flight.add_token(inst_id, plan);
-            if let Some(o) = self.optrace.as_mut() {
-                o.on_token_start(token, inst_id, stage_idx, now_us);
-            }
+            let ev = Event::TokenStart {
+                token,
+                instance: inst_id,
+                stage: stage_idx,
+            };
+            self.emit(now, ev);
             match first {
                 Some(hop) => self.enqueue_agent(hop.agent, JobToken(token), hop.demand, now),
                 None => instant.push(token),
@@ -3138,9 +3014,12 @@ impl Simulation {
                 return;
             }
         }
-        if let Some(o) = self.optrace.as_mut() {
-            o.on_hop_enqueue(token.0, agent.index() as u32, demand, now.as_micros());
-        }
+        let ev = Event::HopEnqueue {
+            token: token.0,
+            agent: agent.index() as u32,
+            demand,
+        };
+        self.emit(now, ev);
         if self.tick_all {
             self.infra.component_mut(agent).enqueue(token, demand, now);
         } else {
@@ -3183,11 +3062,10 @@ impl Simulation {
         // Span context travels with the flight: a hosted token being
         // forwarded ships the segments accrued here; a native sampled
         // token ships an empty context so the next host records for it.
+        let spans = self.obs.as_deref_mut().and_then(|o| o.spans.as_mut());
         let trace = if forwarded.is_some() {
-            self.optrace
-                .as_mut()
-                .and_then(|o| o.take_foreign_segs(token, None))
-        } else if self.optrace.as_mut().is_some_and(|o| o.mark_remote(token)) {
+            spans.and_then(|o| o.take_foreign_segs(token, None))
+        } else if spans.is_some_and(|o| o.mark_remote(token)) {
             Some(Vec::new())
         } else {
             None
@@ -3220,12 +3098,12 @@ impl Simulation {
         // Stitch whatever the hosting shard recorded before the
         // eviction, then close the message span — the hop in service
         // abroad was already folded into the mailed segments.
-        if let Some(o) = self.optrace.as_mut() {
+        if let Some(o) = self.obs.as_deref_mut().and_then(|o| o.spans.as_mut()) {
             if !segs.is_empty() {
                 o.attach_remote_segs(token, segs);
             }
-            o.abort_token(token, now.as_micros());
         }
+        self.emit(now, Event::TokenAborted { token });
         if self.orphans.remove(&token) {
             // The operation already failed for another reason while the
             // flight was abroad; the eviction settles the orphan.
@@ -3294,10 +3172,11 @@ impl Simulation {
                         if let Some(state) = self.flight.tokens.get_mut(&home_token) {
                             state.plan.hops = hops;
                             state.plan.mem_hold = mem;
-                            if let Some(segs) = trace {
-                                if let Some(o) = self.optrace.as_mut() {
-                                    o.attach_remote_segs(home_token, segs);
-                                }
+                            if let (Some(segs), Some(o)) = (
+                                trace,
+                                self.obs.as_deref_mut().and_then(|o| o.spans.as_mut()),
+                            ) {
+                                o.attach_remote_segs(home_token, segs);
                             }
                             home_token
                         } else {
@@ -3327,18 +3206,19 @@ impl Simulation {
                         // A trace context hosts the flight's span here:
                         // hop segments recorded on this shard ride home
                         // with the completion/failure mail.
-                        if let Some(segs) = trace {
-                            if let Some(o) = self.optrace.as_mut() {
-                                o.host_foreign(token, segs);
-                            }
+                        if let (Some(segs), Some(o)) = (
+                            trace,
+                            self.obs.as_deref_mut().and_then(|o| o.spans.as_mut()),
+                        ) {
+                            o.host_foreign(token, segs);
                         }
                         token
                     };
                     self.enqueue_agent(first.agent, JobToken(token), first.demand, now);
                 }
                 crate::shard::ShardPayload::Completion { home_token, segs } => {
-                    if !segs.is_empty() {
-                        if let Some(o) = self.optrace.as_mut() {
+                    if let Some(o) = self.obs.as_deref_mut().and_then(|o| o.spans.as_mut()) {
+                        if !segs.is_empty() {
                             o.attach_remote_segs(home_token, segs);
                         }
                     }
@@ -3432,21 +3312,6 @@ impl Simulation {
     }
 
     fn on_token_complete(&mut self, token: u64, now: SimTime) {
-        // Close the finished hop's span segment first (tracked tokens
-        // only): the residence is split into queue wait, service and WAN
-        // transit against the serving component's nominal rates.
-        if let Some(o) = self.optrace.as_mut() {
-            if let Some((agent, demand, enq_us)) = o.take_cur_hop(token) {
-                let (service, wan) = self
-                    .infra
-                    .component(gdisim_types::AgentId::from_index(agent as usize))
-                    .nominal_segments_secs(demand);
-                o.push_seg(
-                    token,
-                    gdisim_obs::HopSeg::from_nominal(agent, enq_us, now.as_micros(), service, wan),
-                );
-            }
-        }
         // Advance the message along its remaining hops.
         if let Some(state) = self.flight.tokens.get_mut(&token) {
             if let Some(hop) = state.plan.hops.pop_front() {
@@ -3473,23 +3338,20 @@ impl Simulation {
             self.infra.memories_mut()[mem_idx].release(bytes);
         }
         let inst_id = state.instance;
-        if let Some(t) = &mut self.trace {
-            t.record(
-                now,
-                crate::trace::TraceEvent::MessageDone {
-                    token,
-                    instance: inst_id,
-                },
-            );
-        }
+        let ev = Event::MessageDone {
+            token,
+            instance: inst_id,
+        };
+        self.emit(now, ev);
         // A flight hosted for another shard has no instance here: mail
         // the completion home instead of advancing a local cascade.
         if let Some(ctx) = self.shard.as_mut() {
             if let Some((home_shard, home_token)) = ctx.foreign.remove(&token) {
                 debug_assert_eq!(inst_id, crate::shard::FOREIGN_INSTANCE);
                 let segs = self
-                    .optrace
-                    .as_mut()
+                    .obs
+                    .as_deref_mut()
+                    .and_then(|o| o.spans.as_mut())
                     .and_then(|o| o.take_foreign_segs(token, None))
                     .unwrap_or_default();
                 ctx.send(
@@ -3498,9 +3360,6 @@ impl Simulation {
                 );
                 return;
             }
-        }
-        if let Some(o) = self.optrace.as_mut() {
-            o.on_message_done(token, now.as_micros());
         }
         let advance = {
             let inst = self
@@ -3547,22 +3406,15 @@ impl Simulation {
         if inst.is_hedge_twin {
             self.report.resilience.hedge_wins += 1;
         }
-        if let Some(o) = self.optrace.as_mut() {
-            o.on_instance_completed(inst_id, now.as_micros());
-        }
         // Response times are measured from the *first* attempt, so a
         // retried operation reports the full wait the client experienced
         // (identical to `launched_at` when no retry happened).
         let duration = now - inst.first_launched_at;
-        if let Some(t) = &mut self.trace {
-            t.record(
-                now,
-                crate::trace::TraceEvent::OperationDone {
-                    instance: inst_id,
-                    response_secs: duration.as_secs_f64(),
-                },
-            );
-        }
+        let ev = Event::OperationDone {
+            instance: inst_id,
+            response_secs: duration.as_secs_f64(),
+        };
+        self.emit(now, ev);
         self.report.responses.record(inst.key, now, duration);
         if let Some(f) = &mut self.faults {
             f.interval_ok += 1;
@@ -3630,9 +3482,11 @@ impl Simulation {
         // state (collection resets the utilization meters; the audited
         // quantities — flight table, holds, active set, gates — are
         // untouched either way).
-        if let Some(mut audit) = self.audit.take() {
-            self.run_audit(t, &mut audit);
-            self.audit = Some(audit);
+        if let Some(mut obs) = self.obs.take() {
+            if let Some(audit) = &mut obs.audit {
+                self.run_audit(t, audit);
+            }
+            self.obs = Some(obs);
         }
         // Group utilizations by (dc, tier, kind). Every agent is collected
         // exactly once so the meters reset cleanly.
@@ -3779,7 +3633,10 @@ impl Simulation {
 //   session wakes, series cursors, background horizon); a restored
 //   engine starts with `wheel = None` and re-primes it lazily at its
 //   next step, which drains exactly what a polled run would.
-// * `profiler` — wall-clock observation, never simulation state.
+// * the observer set beyond the trace log and the auditor — the
+//   profiler is wall-clock observation and the span recorder is never
+//   serialized (a resumed run starts with an empty recorder); the trace
+//   log and the auditor keep their own encode positions.
 // * `config.executor` — thread pools cannot cross a process boundary;
 //   the CLI re-applies its executor flags after restore.
 //
@@ -3865,7 +3722,7 @@ impl gdisim_snap::Snap for Simulation {
         gdisim_snap::Snap::save(&self.session_wakes, w);
         gdisim_snap::Snap::save(&self.sessions, w);
         gdisim_snap::Snap::save(&self.next_session, w);
-        gdisim_snap::Snap::save(&self.trace, w);
+        w.put_option(self.trace());
         gdisim_snap::Snap::save(&self.meter_epoch, w);
         gdisim_snap::Snap::save(&self.tick_all, w);
         gdisim_snap::Snap::save(&self.always_poll, w);
@@ -3874,10 +3731,10 @@ impl gdisim_snap::Snap for Simulation {
         gdisim_snap::Snap::save(&self.resilience, w);
         gdisim_snap::Snap::save(&self.orphans, w);
         gdisim_snap::Snap::save(&self.shard, w);
-        gdisim_snap::Snap::save(&self.audit, w);
+        w.put_option(self.audit_state());
     }
     fn load(r: &mut gdisim_snap::SnapReader<'_>) -> Result<Self, gdisim_snap::SnapError> {
-        Ok(Simulation {
+        let mut sim = Simulation {
             infra: gdisim_snap::Snap::load(r)?,
             sites: gdisim_snap::Snap::load(r)?,
             site_dc: gdisim_snap::Snap::load(r)?,
@@ -3897,7 +3754,12 @@ impl gdisim_snap::Snap for Simulation {
             session_wakes: gdisim_snap::Snap::load(r)?,
             sessions: gdisim_snap::Snap::load(r)?,
             next_session: gdisim_snap::Snap::load(r)?,
-            trace: gdisim_snap::Snap::load(r)?,
+            // The trace log, at its encode position.
+            obs: <Option<crate::trace::TraceLog>>::load(r)?.map(|trace| {
+                let mut obs = Box::<Observers>::default();
+                obs.trace = Some(trace);
+                obs
+            }),
             meter_epoch: gdisim_snap::Snap::load(r)?,
             tick_all: gdisim_snap::Snap::load(r)?,
             active_scratch: Vec::new(),
@@ -3905,15 +3767,16 @@ impl gdisim_snap::Snap for Simulation {
             always_poll: gdisim_snap::Snap::load(r)?,
             wheel: None,
             polled_sources: gdisim_snap::Snap::load(r)?,
-            profiler: None,
-            cancelled_seen: [0; EventClass::ALL.len()],
             churn: gdisim_snap::Snap::load(r)?,
             resilience: gdisim_snap::Snap::load(r)?,
             orphans: gdisim_snap::Snap::load(r)?,
             shard: gdisim_snap::Snap::load(r)?,
-            audit: gdisim_snap::Snap::load(r)?,
             panic_at: None,
-            optrace: None,
-        })
+        };
+        // The auditor, encoded last.
+        if let Some(audit) = gdisim_snap::Snap::load(r)? {
+            sim.observers_mut().audit = Some(audit);
+        }
+        Ok(sim)
     }
 }

@@ -101,12 +101,6 @@ impl FlightTable {
         Self::default()
     }
 
-    /// The id the next [`Self::add_instance`] call will assign — lets the
-    /// tracer stamp a launch before the instance is stored.
-    pub fn peek_next_instance(&self) -> u64 {
-        self.next_instance
-    }
-
     /// Registers a new instance, returning its id.
     pub fn add_instance(&mut self, instance: Instance) -> u64 {
         let id = self.next_instance;

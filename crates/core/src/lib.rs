@@ -21,6 +21,7 @@ pub mod config;
 pub mod engine;
 pub mod fault;
 pub mod flight;
+pub mod observe;
 pub mod optrace;
 pub mod report;
 pub mod router;
@@ -35,6 +36,7 @@ pub use churn::{ChurnModel, ChurnModelError, ChurnProcess, DomainMember, Failure
 pub use config::{MasterPolicy, SimulationConfig};
 pub use engine::{BuildError, Simulation, TrafficSource};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultPlanError, FaultTarget, InFlightPolicy};
+pub use observe::Observers;
 pub use optrace::OpTraceRecorder;
 pub use report::{BackgroundRecord, FaultStats, Report, ResilienceStats, TierKey};
 pub use shard::{ShardConfigError, ShardCrash, ShardStats, ShardedSimulation};

@@ -1,21 +1,23 @@
 //! Operation-trace recorder: the engine-side bookkeeping behind
-//! `gdisim_obs::optrace` (ISSUE 10).
+//! `gdisim_obs::optrace`.
 //!
-//! The recorder is a **strictly observational** sidecar, like the step
-//! profiler: the engine calls read-only hooks at launch, retry, hedge,
-//! hop-enqueue, hop-close, message-done, failure and completion sites,
-//! and the recorder assembles span trees out of what it is told. It
-//! draws from no RNG stream (sampling is a stateless hash of
-//! `(seed, instance)`), arms no gates, and never touches simulation
-//! state — so runs are bit-identical with tracing on or off at any
-//! sample rate, which the optrace equivalence proptests pin across the
-//! serial, Scatter-Gather, H-Dispatch and sharded engines.
+//! The recorder is one member of the observer set ([`crate::observe`]):
+//! it assembles span trees out of the launch, hedge, token, hop,
+//! message, failure and completion events the engine emits. It draws
+//! from no RNG stream (sampling is a stateless hash of `(seed,
+//! instance)`), arms no gates, and never touches simulation state — so
+//! runs are bit-identical with tracing on or off at any sample rate.
+//! Shard migration reads span state back through direct calls
+//! (`root_of`, `mark_remote`, `take_foreign_segs`, `attach_remote_segs`,
+//! `host_foreign`), because the engine forwards what they return
+//! through the mailboxes.
 //!
 //! Every hook tolerates unknown ids by doing nothing: an id the
 //! recorder has never seen belongs to an unsampled operation (or to an
 //! operation whose trace was severed by a checkpoint/restore, which
 //! deliberately does not persist recorder state).
 
+use crate::observe::Event;
 use gdisim_metrics::{AttributionAggregator, ResponseKey};
 use gdisim_obs::optrace::{
     attribute, AttemptSpan, HalfOutcome, HalfSpan, HopSeg, MsgSpan, OpRecord, OpStatus,
@@ -34,6 +36,14 @@ struct CurHop {
     agent: u32,
     demand: f64,
     enq_us: u64,
+}
+
+impl CurHop {
+    /// The hop cut off at `at_us` before its service finished: its whole
+    /// residence counts as queue wait.
+    fn folded(self, at_us: u64) -> HopSeg {
+        HopSeg::from_nominal(self.agent, self.enq_us, at_us.max(self.enq_us), 0.0, 0.0)
+    }
 }
 
 /// Recorder state for one live native (locally-owned) token.
@@ -129,6 +139,48 @@ impl OpTraceRecorder {
         out
     }
 
+    /// Feeds one observer event, stamped `at_us`, to the recorder.
+    pub(crate) fn observe(&mut self, at_us: u64, ev: &Event<'_>) {
+        match *ev {
+            Event::Launch {
+                instance,
+                key,
+                kind,
+                attempt,
+                breaker,
+                trace_root,
+            } => self.on_launch(instance, key, kind, attempt, breaker, trace_root, at_us),
+            Event::HedgeLaunch { primary, twin, .. } => self.on_hedge_twin(primary, twin, at_us),
+            Event::Hop {
+                token, component, ..
+            } => self.close_hop(token, at_us, |demand| {
+                component.nominal_segments_secs(demand)
+            }),
+            Event::MessageDone { token, .. } => self.on_message_done(token, at_us),
+            Event::OperationDone { instance, .. } => self.on_instance_completed(instance, at_us),
+            Event::OperationFailed {
+                instance,
+                cause,
+                will_retry,
+            } => self.on_instance_failed(instance, cause, will_retry, at_us),
+            Event::TokenStart {
+                token,
+                instance,
+                stage,
+            } => self.on_token_start(token, instance, stage, at_us),
+            Event::HopEnqueue {
+                token,
+                agent,
+                demand,
+            } => self.on_hop_enqueue(token, agent, demand, at_us),
+            Event::TokenAborted { token } => self.abort_token(token, at_us),
+            Event::HalfCancelled { instance, cause } => {
+                self.on_half_cancelled(instance, cause, at_us)
+            }
+            _ => {}
+        }
+    }
+
     /// The root this live instance belongs to, when it is sampled.
     pub fn root_of(&self, instance: u64) -> Option<u64> {
         self.inst_root.get(&instance).copied()
@@ -167,7 +219,7 @@ impl OpTraceRecorder {
     /// retries join their root via `trace_root` (carried through the
     /// pending-retry queue) and never re-sample.
     #[allow(clippy::too_many_arguments)]
-    pub fn on_launch(
+    fn on_launch(
         &mut self,
         instance: u64,
         key: ResponseKey,
@@ -214,7 +266,7 @@ impl OpTraceRecorder {
 
     /// Hook: a hedge twin launched for a sampled primary. The twin
     /// joins the primary's current attempt.
-    pub fn on_hedge_twin(&mut self, primary: u64, twin: u64, now_us: u64) {
+    fn on_hedge_twin(&mut self, primary: u64, twin: u64, now_us: u64) {
         let Some(&root) = self.inst_root.get(&primary) else {
             return;
         };
@@ -234,7 +286,7 @@ impl OpTraceRecorder {
     /// Hook: a hedge half was cancelled quietly (the loser of a settled
     /// pair, or the failing half of a still-live pair — the latter
     /// carries the failure's cause).
-    pub fn on_half_cancelled(&mut self, instance: u64, cause: Option<&'static str>, now_us: u64) {
+    fn on_half_cancelled(&mut self, instance: u64, cause: Option<&'static str>, now_us: u64) {
         let Some(root) = self.inst_root.remove(&instance) else {
             return;
         };
@@ -249,7 +301,7 @@ impl OpTraceRecorder {
 
     /// Hook: an attempt failed (`cause` labels why). When `will_retry`
     /// is false the operation is abandoned and its tree settles.
-    pub fn on_instance_failed(
+    fn on_instance_failed(
         &mut self,
         instance: u64,
         cause: &'static str,
@@ -276,7 +328,7 @@ impl OpTraceRecorder {
 
     /// Hook: an operation completed through `instance` (the carrying
     /// half). Settles the tree and streams its latency attribution.
-    pub fn on_instance_completed(&mut self, instance: u64, now_us: u64) {
+    fn on_instance_completed(&mut self, instance: u64, now_us: u64) {
         let Some(root) = self.inst_root.remove(&instance) else {
             return;
         };
@@ -300,7 +352,7 @@ impl OpTraceRecorder {
     // ----- token / hop lifecycle --------------------------------------
 
     /// Hook: a cascade message of a sampled instance was compiled.
-    pub fn on_token_start(&mut self, token: u64, instance: u64, stage: u32, now_us: u64) {
+    fn on_token_start(&mut self, token: u64, instance: u64, stage: u32, now_us: u64) {
         let Some(&root) = self.inst_root.get(&instance) else {
             return;
         };
@@ -330,7 +382,7 @@ impl OpTraceRecorder {
     }
 
     /// Hook: a tracked token was handed to a local agent's queue.
-    pub fn on_hop_enqueue(&mut self, token: u64, agent: u32, demand: f64, now_us: u64) {
+    fn on_hop_enqueue(&mut self, token: u64, agent: u32, demand: f64, now_us: u64) {
         let cur = CurHop {
             agent,
             demand,
@@ -343,23 +395,22 @@ impl OpTraceRecorder {
         }
     }
 
-    /// Takes the in-service hop of a token, if one is tracked — the
-    /// engine turns it into a [`HopSeg`] (it alone can resolve the
-    /// component's nominal split) and hands it back via [`Self::push_seg`].
-    pub fn take_cur_hop(&mut self, token: u64) -> Option<(u32, f64, u64)> {
+    /// Hook: a tracked token's in-service hop finished at `now_us`. The
+    /// residence becomes a [`HopSeg`], split against the serving
+    /// component's nominal `(service, wan)` seconds for the hop's
+    /// demand, appended to the token's message (native) or hosted span
+    /// (foreign).
+    fn close_hop(&mut self, token: u64, now_us: u64, nominal: impl FnOnce(f64) -> (f64, f64)) {
         let cur = if let Some(ctx) = self.tokens.get_mut(&token) {
             ctx.cur.take()
         } else if let Some(f) = self.foreign.get_mut(&token) {
             f.cur.take()
         } else {
             None
-        }?;
-        Some((cur.agent, cur.demand, cur.enq_us))
-    }
-
-    /// Appends a finished hop segment to the token's message (native) or
-    /// hosted span (foreign).
-    pub fn push_seg(&mut self, token: u64, seg: HopSeg) {
+        };
+        let Some(cur) = cur else { return };
+        let (service, wan) = nominal(cur.demand);
+        let seg = HopSeg::from_nominal(cur.agent, cur.enq_us, now_us, service, wan);
         if let Some(msg) = self.msg_mut(token) {
             msg.segs.push(seg);
         } else if let Some(f) = self.foreign.get_mut(&token) {
@@ -368,7 +419,7 @@ impl OpTraceRecorder {
     }
 
     /// Hook: a native message finished its cascade step.
-    pub fn on_message_done(&mut self, token: u64, now_us: u64) {
+    fn on_message_done(&mut self, token: u64, now_us: u64) {
         if let Some(msg) = self.msg_mut(token) {
             msg.done_us = Some(now_us);
         }
@@ -378,18 +429,12 @@ impl OpTraceRecorder {
     /// Hook: a native message was severed (operation failure, hedge
     /// cancel, eviction). A hop still in service is folded in as pure
     /// queue wait — the service never finished.
-    pub fn abort_token(&mut self, token: u64, now_us: u64) {
+    fn abort_token(&mut self, token: u64, now_us: u64) {
         let Some(ctx) = self.tokens.get_mut(&token) else {
             self.foreign.remove(&token);
             return;
         };
-        let folded = ctx.cur.take().map(|cur| HopSeg {
-            agent: cur.agent,
-            enq_us: cur.enq_us,
-            done_us: now_us.max(cur.enq_us),
-            service_us: 0,
-            wan_us: 0,
-        });
+        let folded = ctx.cur.take().map(|cur| cur.folded(now_us));
         if let Some(msg) = self.msg_mut(token) {
             if let Some(seg) = folded {
                 msg.segs.push(seg);
@@ -436,13 +481,7 @@ impl OpTraceRecorder {
     pub fn take_foreign_segs(&mut self, token: u64, fold_at: Option<u64>) -> Option<Vec<HopSeg>> {
         let mut f = self.foreign.remove(&token)?;
         if let (Some(at), Some(cur)) = (fold_at, f.cur.take()) {
-            f.segs.push(HopSeg {
-                agent: cur.agent,
-                enq_us: cur.enq_us,
-                done_us: at.max(cur.enq_us),
-                service_us: 0,
-                wan_us: 0,
-            });
+            f.segs.push(cur.folded(at));
         }
         Some(f.segs)
     }
@@ -467,17 +506,11 @@ mod tests {
         r.on_launch(1, key(), "client", 0, "closed", None, 1_000);
         r.on_token_start(100, 1, 0, 1_000);
         r.on_hop_enqueue(100, 3, 5.0, 1_000);
-        let (agent, _, enq) = r.take_cur_hop(100).expect("hop in service");
-        r.push_seg(
-            100,
-            HopSeg {
-                agent,
-                enq_us: enq,
-                done_us: 1_400,
-                service_us: 300,
-                wan_us: 0,
-            },
-        );
+        // 300 µs of nominal service for the hop's demand of 5.
+        r.close_hop(100, 1_400, |demand| {
+            assert_eq!(demand, 5.0);
+            (300e-6, 0.0)
+        });
         r.on_message_done(100, 1_400);
         r.on_instance_completed(1, 1_400);
         assert_eq!(r.counters().sampled, 1);
@@ -519,7 +552,9 @@ mod tests {
         r.on_launch(1, key(), "client", 0, "closed", None, 0);
         r.on_token_start(100, 1, 0, 0);
         r.on_hop_enqueue(100, 3, 5.0, 0);
-        assert!(r.take_cur_hop(100).is_none());
+        r.close_hop(100, 5, |_| {
+            panic!("no hop is tracked for an unsampled token")
+        });
         r.on_instance_completed(1, 10);
         assert_eq!(r.counters().sampled, 0);
         assert!(r.export_records().is_empty());
@@ -563,20 +598,11 @@ mod tests {
         let mut r = OpTraceRecorder::new(1.0, 7, 10);
         r.host_foreign(50, vec![]);
         r.on_hop_enqueue(50, 9, 1.0, 100);
-        let (agent, _, enq) = r.take_cur_hop(50).expect("foreign hop");
-        r.push_seg(
-            50,
-            HopSeg {
-                agent,
-                enq_us: enq,
-                done_us: 300,
-                service_us: 150,
-                wan_us: 0,
-            },
-        );
+        r.close_hop(50, 300, |_| (150e-6, 0.0));
         let segs = r.take_foreign_segs(50, None).expect("hosted");
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].agent, 9);
+        assert_eq!((segs[0].enq_us, segs[0].service_us), (100, 150));
         // Untracked tokens yield no context.
         assert!(r.take_foreign_segs(51, None).is_none());
     }

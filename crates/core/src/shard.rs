@@ -47,7 +47,6 @@ use crate::engine::Simulation;
 use crate::report::Report;
 use crate::router::Hop;
 use gdisim_metrics::{MetricsRegistry, TimeSeries};
-use gdisim_obs::StepProfile;
 use gdisim_ports::{Executor, ShardedPool};
 use gdisim_types::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
@@ -433,62 +432,20 @@ impl ShardedSimulation {
             .collect()
     }
 
-    /// Enables message-level tracing on every shard.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        for slot in &mut self.shards {
-            slot.sim.enable_trace(capacity);
-        }
+    /// Every shard's engine, in shard order. Each shard has its own
+    /// observer set ([`Simulation::observers`]); merged exports resolve
+    /// labels against shard 0, which replicates the full catalog.
+    pub fn shard_sims(&self) -> impl ExactSizeIterator<Item = &Simulation> {
+        self.shards.iter().map(|s| &s.sim)
     }
 
-    /// Per-shard traces, if enabled.
-    pub fn traces(&self) -> Vec<Option<&crate::trace::TraceLog>> {
-        self.shards.iter().map(|s| s.sim.trace()).collect()
-    }
-
-    /// Enables the step-loop profiler on every shard.
-    pub fn enable_profiler(&mut self, span_capacity: usize) {
-        for slot in &mut self.shards {
-            slot.sim.enable_profiler(span_capacity);
-        }
-    }
-
-    /// Enables causal operation tracing on every shard (see
-    /// [`Simulation::enable_optrace`]). Each shard samples its own
-    /// launches with the same `(seed, instance)` hash; cross-shard
-    /// flights carry span context through the mailboxes and stitch at
-    /// the operation's home shard, so the merged export covers every
-    /// sampled operation exactly once.
-    pub fn enable_optrace(&mut self, rate: f64) {
-        for slot in &mut self.shards {
-            slot.sim.enable_optrace(rate);
-        }
-    }
-
-    /// Per-shard operation-trace recorders, if enabled.
-    pub fn optraces(&self) -> Vec<Option<&crate::optrace::OpTraceRecorder>> {
-        self.shards.iter().map(|s| s.sim.optrace()).collect()
-    }
-
-    /// Read-only view of one shard's engine. Merged observability
-    /// exports resolve labels against shard 0's registry (every shard
-    /// replicates the full catalog and topology).
-    pub fn shard_sim(&self, shard: usize) -> &Simulation {
-        &self.shards[shard].sim
-    }
-
-    /// Per-shard aggregated step profiles, if profiling is enabled.
-    pub fn step_profiles(&self) -> Vec<Option<StepProfile>> {
-        self.shards.iter().map(|s| s.sim.step_profile()).collect()
-    }
-
-    /// Switches the invariant auditor on or off in every shard (see
-    /// [`Simulation::set_paranoid`]). Each shard audits its own state
-    /// at its own measurement collections; the per-shard tallies merge
-    /// through [`Self::audit_state`].
-    pub fn set_paranoid(&mut self, on: bool) {
-        for slot in &mut self.shards {
-            slot.sim.set_paranoid(on);
-        }
+    /// [`Self::shard_sims`], mutably: how observers are switched on
+    /// across a sharded run (span context stitches at each operation's
+    /// home shard, so recorders at one rate on every shard export each
+    /// sampled operation once). Stepping a shard directly would
+    /// desynchronize the run.
+    pub fn shard_sims_mut(&mut self) -> impl ExactSizeIterator<Item = &mut Simulation> {
+        self.shards.iter_mut().map(|s| &mut s.sim)
     }
 
     /// Supervision test hook: shard `shard` panics at its first step at
@@ -498,17 +455,6 @@ impl ShardedSimulation {
         if let Some(slot) = self.shards.get_mut(shard) {
             slot.sim.inject_panic_at(at);
         }
-    }
-
-    /// Merged auditor tallies across shards, when `--paranoid` is on.
-    pub fn audit_state(&self) -> Option<crate::audit::AuditState> {
-        let mut merged: Option<crate::audit::AuditState> = None;
-        for slot in &self.shards {
-            if let Some(a) = slot.sim.audit_state() {
-                merged.get_or_insert_with(Default::default).merge_from(a);
-            }
-        }
-        merged
     }
 
     /// Runs the simulation up to `until` (exclusive of any partial
@@ -711,60 +657,12 @@ impl ShardedSimulation {
     /// Snapshots merged engine counters plus per-shard window /
     /// barrier / mailbox counters into a [`MetricsRegistry`].
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
-        let report = self.report();
         let mut r = MetricsRegistry::new();
-        r.set_counter("responses.recorded", report.responses.total_recorded());
-        r.set_counter("faults.failed_operations", report.faults.failed_operations);
-        r.set_counter(
-            "faults.retried_operations",
-            report.faults.retried_operations,
-        );
-        r.set_counter(
-            "faults.abandoned_operations",
-            report.faults.abandoned_operations,
-        );
-        r.set_counter("faults.dropped_messages", report.faults.dropped_messages);
-        r.set_counter("faults.skipped_events", report.faults.skipped_events);
-        r.set_counter("churn.incidents", report.churn.incidents);
-        r.set_counter("churn.repairs", report.churn.repairs);
-        r.set_counter("churn.refused_incidents", report.churn.refused_incidents);
-        r.set_counter(
-            "resilience.hedges_launched",
-            report.resilience.hedges_launched,
-        );
-        r.set_counter("resilience.hedge_wins", report.resilience.hedge_wins);
-        r.set_counter(
-            "resilience.hedges_cancelled",
-            report.resilience.hedges_cancelled,
-        );
-        r.set_counter("resilience.breaker_trips", report.resilience.breaker_trips);
-        r.set_counter(
-            "resilience.breaker_rejections",
-            report.resilience.breaker_rejections,
-        );
-        r.set_counter(
-            "resilience.shed_operations",
-            report.resilience.shed_operations,
-        );
-        if let Some(a) = self.audit_state() {
-            r.set_counter("audit.checks", a.checks);
-            r.set_counter("audit.violations", a.violations);
-        }
-        let optraced: Vec<_> = self.optraces().into_iter().flatten().collect();
-        if !optraced.is_empty() {
-            let mut sampled = 0u64;
-            let mut finished = 0u64;
-            let mut dropped = 0u64;
-            for o in optraced {
-                let c = o.counters();
-                sampled += c.sampled;
-                finished += c.finished;
-                dropped += c.dropped;
-            }
-            r.set_counter("optrace.sampled", sampled);
-            r.set_counter("optrace.finished", finished);
-            r.set_counter("optrace.dropped", dropped);
-        }
+        let sets: Vec<_> = self
+            .shard_sims()
+            .filter_map(Simulation::observers)
+            .collect();
+        crate::observe::export_counters(&mut r, &self.report(), &sets);
         r.set_gauge("sim.time_secs", self.now.as_secs_f64());
         r.set_counter("shards.count", self.shards.len() as u64);
         r.set_counter("shards.window_ticks", self.window_ticks);

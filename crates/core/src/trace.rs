@@ -6,13 +6,16 @@
 //! processors or network links". The aggregate report covers the
 //! macroscopic scale; the trace log covers the microscope: when enabled,
 //! every operation launch, agent-hop completion, message completion and
-//! operation completion is recorded with its timestamp.
+//! operation completion is recorded with its timestamp — the log keeps
+//! the [`TraceEvent`] projection of each observer event (see
+//! [`crate::observe`]).
 //!
 //! Tracing a day-long six-continent run would produce hundreds of
 //! millions of events, so the log is capacity-bounded: recording stops
 //! (and is counted) once the cap is reached — point the microscope at a
 //! short window.
 
+use crate::observe::Event;
 use gdisim_metrics::ResponseKey;
 use gdisim_types::{AgentId, SimTime};
 
@@ -75,6 +78,39 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// The record the trace log keeps of an observer event, if any: a
+    /// hedge twin's launch is recorded as a launch of the twin, fault
+    /// and churn transitions arrive as records, and span-only and
+    /// profiler events have no record.
+    pub(crate) fn project(ev: &Event<'_>) -> Option<Self> {
+        Some(match *ev {
+            Event::Launch { instance, key, .. } => TraceEvent::Launch { instance, key },
+            Event::HedgeLaunch { twin, key, .. } => TraceEvent::Launch {
+                instance: twin,
+                key,
+            },
+            Event::Hop { token, agent, .. } => TraceEvent::Hop { token, agent },
+            Event::MessageDone { token, instance } => TraceEvent::MessageDone { token, instance },
+            Event::OperationDone {
+                instance,
+                response_secs,
+            } => TraceEvent::OperationDone {
+                instance,
+                response_secs,
+            },
+            Event::OperationFailed {
+                instance,
+                will_retry,
+                ..
+            } => TraceEvent::OperationFailed {
+                instance,
+                will_retry,
+            },
+            Event::Record(record) => record,
+            _ => return None,
+        })
+    }
+
     /// Index into the per-kind drop counters.
     fn kind_index(&self) -> usize {
         match self {
@@ -284,15 +320,7 @@ impl TraceLog {
     /// time)` in kind order; `None` when no event of the kind was ever
     /// dropped.
     pub fn first_dropped_by_kind(&self) -> [(&'static str, Option<SimTime>); 7] {
-        [
-            ("launch", self.first_dropped[0]),
-            ("hop", self.first_dropped[1]),
-            ("message_done", self.first_dropped[2]),
-            ("operation_done", self.first_dropped[3]),
-            ("fault", self.first_dropped[4]),
-            ("operation_failed", self.first_dropped[5]),
-            ("churn", self.first_dropped[6]),
-        ]
+        std::array::from_fn(|kind| (KIND_LABELS[kind], self.first_dropped[kind]))
     }
 
     /// Streams the log as JSON Lines: one object per recorded event

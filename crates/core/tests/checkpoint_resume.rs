@@ -157,7 +157,9 @@ fn sharded_resume_is_bit_identical() {
 
     let mut uninterrupted = ShardedSimulation::new(common::build(scenario, seed), 2, None, None)
         .expect("2-way sharding");
-    uninterrupted.enable_trace(100_000);
+    for shard in uninterrupted.shard_sims_mut() {
+        shard.enable_trace(100_000);
+    }
     // Sharded checkpoints only land on whole-window boundaries; derive
     // every stop from the window so the grids line up.
     let window = uninterrupted.dt() * uninterrupted.window_ticks();
@@ -168,7 +170,9 @@ fn sharded_resume_is_bit_identical() {
 
     let mut first_leg = ShardedSimulation::new(common::build(scenario, seed), 2, None, None)
         .expect("2-way sharding");
-    first_leg.enable_trace(100_000);
+    for shard in first_leg.shard_sims_mut() {
+        shard.enable_trace(100_000);
+    }
     first_leg.run_until(ckpt_at);
     assert_eq!(
         first_leg.now(),

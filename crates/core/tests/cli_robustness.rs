@@ -227,3 +227,50 @@ fn corrupt_checkpoint_is_a_typed_error() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// A sharded run's trace summary and profile registry count every
+/// shard's trace log: both totals equal the event lines across
+/// `ev.jsonl` and `ev.jsonl.shard1` (each file ends in one
+/// `dropped_by_kind` trailer line).
+#[test]
+fn sharded_trace_totals_cover_every_shard() {
+    let dir = Scratch::new("sharded-trace-totals");
+    let ev = format!("{}/ev.jsonl", dir.path());
+    let profile = format!("{}/p.json", dir.path());
+    let out = gdisim(&[
+        "run",
+        "--scenario",
+        "faulted",
+        "--faults",
+        "demo",
+        "--minutes",
+        "10",
+        "--shards",
+        "2",
+        "--trace-jsonl",
+        &ev,
+        "--profile-json",
+        &profile,
+    ]);
+    assert!(out.status.success(), "sharded run failed");
+    let event_lines = |path: &str| {
+        let text = std::fs::read_to_string(path).expect("trace file written");
+        text.lines().count() as u64 - 1
+    };
+    let (shard0, shard1) = (event_lines(&ev), event_lines(&format!("{ev}.shard1")));
+    assert!(shard0 > 0 && shard1 > 0, "a shard traced nothing");
+    let events = shard0 + shard1;
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("trace: {events} events recorded")),
+        "summary must count {events} events across shards:\n{stdout}"
+    );
+    let json = std::fs::read_to_string(&profile).expect("profile written");
+    let v = serde_json::parse_value(&json).expect("profile JSON parses");
+    let recorded = v
+        .get("registry")
+        .and_then(|r| r.get("counters"))
+        .and_then(|c| c.get("trace.recorded"))
+        .and_then(|n| n.as_u64());
+    assert_eq!(recorded, Some(events), "registry trace.recorded");
+}

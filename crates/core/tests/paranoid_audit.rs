@@ -4,6 +4,7 @@
 
 mod common;
 
+use gdisim_core::observe::merged_audit;
 use gdisim_core::ShardedSimulation;
 use gdisim_types::SimTime;
 
@@ -27,10 +28,11 @@ fn paranoid_serial_runs_clean_on_every_scenario() {
 fn paranoid_sharded_runs_clean() {
     let mut sharded =
         ShardedSimulation::new(common::build("churned", 7), 2, None, None).expect("2-way sharding");
-    sharded.set_paranoid(true);
+    for shard in sharded.shard_sims_mut() {
+        shard.set_paranoid(true);
+    }
     sharded.run_until(SimTime::from_secs(300));
-    let audit = sharded
-        .audit_state()
+    let audit = merged_audit(sharded.shard_sims().filter_map(|s| s.observers()))
         .expect("set_paranoid arms every shard's auditor");
     assert!(audit.checks > 0, "no shard ever audited");
     assert_eq!(

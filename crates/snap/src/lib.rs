@@ -127,6 +127,18 @@ impl SnapWriter {
     pub fn put_len(&mut self, len: usize) {
         self.put_u64(len as u64);
     }
+
+    /// Writes a borrowed optional value, encoded exactly as the owned
+    /// `Option<T>` is.
+    pub fn put_option<T: Snap>(&mut self, v: Option<&T>) {
+        match v {
+            None => self.put_u8(0),
+            Some(v) => {
+                self.put_u8(1);
+                v.save(self);
+            }
+        }
+    }
 }
 
 /// Cursor over snapshot bytes.
@@ -312,13 +324,7 @@ impl Snap for String {
 
 impl<T: Snap> Snap for Option<T> {
     fn save(&self, w: &mut SnapWriter) {
-        match self {
-            None => w.put_u8(0),
-            Some(v) => {
-                w.put_u8(1);
-                v.save(w);
-            }
-        }
+        w.put_option(self.as_ref());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         match r.take_u8()? {

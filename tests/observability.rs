@@ -1,81 +1,30 @@
-//! Observability must be a pure observer: enabling the step-loop
-//! profiler, the trace log and histogram-mode response aggregation
-//! must not perturb the simulation by a single bit, for every scenario
-//! family and executor. Alongside the equivalence proptest, golden
-//! checks pin the three export formats (profile JSON, Perfetto trace,
-//! trace JSONL) at the integration level.
+//! Observability must be a pure observer: switching on any subset of
+//! the observer set — trace log, step profiler, span recorder at any
+//! sampling rate, invariant auditor — and histogram-mode response
+//! aggregation must not perturb the simulation by a single bit, for
+//! every scenario family and executor. Alongside the non-interference
+//! proptest, golden checks pin the three export formats (profile JSON,
+//! Perfetto trace, trace JSONL) at the integration level, and the
+//! sharded registry's trace counters are checked against the shards'
+//! logs.
 
-use gdisim_core::scenarios::{consolidated, faulted, validation};
-use gdisim_core::{FaultAction, FaultEvent, FaultPlan, FaultTarget, Simulation};
+mod common;
+
+use common::{build_scenario, compressed_fault_plan, executor_for, EXECUTORS, RATES, SCENARIOS};
+use gdisim_core::scenarios::faulted;
+use gdisim_core::{Report, ShardedSimulation, Simulation};
 use gdisim_metrics::LogHistogram;
 use gdisim_obs::{NUM_CLASSES, PHASE_NAMES};
-use gdisim_ports::Executor;
 use gdisim_types::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-fn executor_for(choice: usize) -> Executor {
-    match choice {
-        0 => Executor::serial(),
-        1 => Executor::scatter_gather(4),
-        _ => Executor::hdispatch(4, 16),
-    }
-}
+/// Everything a run observes besides response times: utilization and
+/// memory series, the concurrent-client series, and the fault,
+/// resilience and churn counters.
+type Signature = (Vec<(String, Vec<f64>)>, Vec<f64>, Vec<u64>);
 
-/// The staged WAN outage of the `faulted` scenario, compressed so the
-/// fault, retry and timeout machinery all fire inside a short horizon.
-fn compressed_fault_plan() -> FaultPlan {
-    let link = |label: &str| FaultTarget::WanLink {
-        label: label.into(),
-    };
-    use FaultAction::{Fail, Recover};
-    FaultPlan {
-        events: vec![
-            FaultEvent {
-                at_secs: 20.0,
-                target: link(faulted::PRIMARY_LINK),
-                action: Fail,
-            },
-            FaultEvent {
-                at_secs: 40.0,
-                target: link(faulted::BACKUP_LINK),
-                action: Fail,
-            },
-            FaultEvent {
-                at_secs: 60.0,
-                target: link(faulted::PRIMARY_LINK),
-                action: Recover,
-            },
-            FaultEvent {
-                at_secs: 60.0,
-                target: link(faulted::BACKUP_LINK),
-                action: Recover,
-            },
-        ],
-        in_flight: gdisim_core::InFlightPolicy::Bounce,
-        retry: Some(faulted::demo_retry_policy()),
-    }
-}
-
-fn build_scenario(scenario: usize, seed: u64) -> Simulation {
-    match scenario {
-        0 => {
-            let mut sim = faulted::build(seed);
-            sim.set_fault_plan(compressed_fault_plan())
-                .expect("compressed plan matches the faulted topology");
-            sim
-        }
-        1 => validation::build(validation::EXPERIMENTS[0], seed),
-        _ => consolidated::build(seed),
-    }
-}
-
-/// Everything a run observes besides response times: utilization
-/// series, the concurrent-client series and the fault counters.
-type CoreSignature = (Vec<(String, Vec<f64>)>, Vec<f64>, (u64, u64, u64, u64, u64));
-
-fn core_signature(sim: &Simulation) -> CoreSignature {
-    let report = sim.report();
+fn signature(report: &Report) -> Signature {
     let mut series: Vec<(String, Vec<f64>)> = Vec::new();
     for ((dc, tier), s) in &report.tier_cpu {
         series.push((format!("cpu {dc}/{tier}"), s.values().to_vec()));
@@ -83,38 +32,53 @@ fn core_signature(sim: &Simulation) -> CoreSignature {
     for ((dc, tier), s) in &report.tier_disk {
         series.push((format!("disk {dc}/{tier}"), s.values().to_vec()));
     }
+    for ((dc, tier), s) in &report.tier_memory {
+        series.push((format!("mem {dc}/{tier}"), s.values().to_vec()));
+    }
     for (label, s) in &report.wan_util {
         series.push((format!("wan {label}"), s.values().to_vec()));
     }
     let f = &report.faults;
+    let r = &report.resilience;
+    let c = &report.churn;
+    let counters = vec![
+        f.failed_operations,
+        f.retried_operations,
+        f.abandoned_operations,
+        f.dropped_messages,
+        f.skipped_events,
+        r.hedges_launched,
+        r.hedge_wins,
+        r.hedges_cancelled,
+        r.breaker_trips,
+        r.breaker_rejections,
+        r.shed_operations,
+        c.incidents,
+        c.repairs,
+        report.responses.total_recorded(),
+    ];
     (
         series,
         report.concurrent_clients.values().to_vec(),
-        (
-            f.failed_operations,
-            f.retried_operations,
-            f.abandoned_operations,
-            f.dropped_messages,
-            f.skipped_events,
-        ),
+        counters,
     )
 }
 
-/// Runs with every observability feature off (the exact-history
-/// default) and returns the signature plus per-key response
-/// histograms rebuilt from the exact history — the reference the
+/// Per-key response histories, rendered for comparison.
+type Histories = Vec<(String, Vec<(SimTime, f64)>)>;
+
+fn histories(report: &Report) -> Histories {
+    report
+        .responses
+        .history_keys()
+        .map(|k| (format!("{k:?}"), report.responses.history(k).to_vec()))
+        .collect()
+}
+
+/// Per-key response histograms rebuilt from the exact history — what a
 /// histogram-mode run must reproduce.
-fn run_baseline(
-    scenario: usize,
-    seed: u64,
-    executor: usize,
-    horizon_secs: u64,
-) -> (CoreSignature, BTreeMap<String, LogHistogram>) {
-    let mut sim = build_scenario(scenario, seed);
-    sim.set_executor(executor_for(executor));
-    sim.run_until(SimTime::from_secs(horizon_secs));
+fn rebuilt_histograms(report: &Report) -> BTreeMap<String, LogHistogram> {
     let mut rebuilt = BTreeMap::new();
-    let report = sim.report();
     for key in report.responses.history_keys() {
         let h: &mut LogHistogram = rebuilt.entry(format!("{key:?}")).or_default();
         for &(_, secs) in report.responses.history(key) {
@@ -124,25 +88,11 @@ fn run_baseline(
             h.record(SimDuration::from_secs_f64(secs).as_micros());
         }
     }
-    (core_signature(&sim), rebuilt)
+    rebuilt
 }
 
-/// Runs with every observability feature ON: profiler with span
-/// recording, trace log and histogram-mode responses.
-fn run_observed(
-    scenario: usize,
-    seed: u64,
-    executor: usize,
-    horizon_secs: u64,
-) -> (CoreSignature, BTreeMap<String, LogHistogram>) {
-    let mut sim = build_scenario(scenario, seed);
-    sim.set_executor(executor_for(executor));
-    sim.enable_profiler(50_000);
-    sim.enable_trace(50_000);
-    sim.enable_response_histograms();
-    sim.run_until(SimTime::from_secs(horizon_secs));
-    let report = sim.report();
-    let hists = report
+fn histograms(report: &Report) -> BTreeMap<String, LogHistogram> {
+    report
         .responses
         .histogram_keys()
         .map(|k| {
@@ -153,29 +103,100 @@ fn run_observed(
                 .clone();
             (format!("{k:?}"), h)
         })
-        .collect();
-    (core_signature(&sim), hists)
+        .collect()
+}
+
+/// Which observers one case switches on, decoded from a bit mask:
+/// trace log, step profiler (with span recording), span recorder at
+/// `RATES[rate_idx]`, invariant auditor, response histograms.
+struct Observed {
+    trace: bool,
+    profiler: bool,
+    optrace: Option<f64>,
+    paranoid: bool,
+    histograms: bool,
+}
+
+impl Observed {
+    fn from_mask(mask: u32, rate_idx: usize) -> Self {
+        Observed {
+            trace: mask & 1 != 0,
+            profiler: mask & 2 != 0,
+            optrace: (mask & 4 != 0).then_some(RATES[rate_idx]),
+            paranoid: mask & 8 != 0,
+            histograms: mask & 16 != 0,
+        }
+    }
+
+    fn apply(&self, sim: &mut Simulation) {
+        if self.trace {
+            sim.enable_trace(50_000);
+        }
+        if self.profiler {
+            sim.enable_profiler(50_000);
+        }
+        if let Some(rate) = self.optrace {
+            sim.enable_optrace(rate);
+        }
+        sim.set_paranoid(self.paranoid);
+        if self.histograms {
+            sim.enable_response_histograms();
+        }
+    }
+}
+
+fn run(
+    scenario: usize,
+    seed: u64,
+    executor: usize,
+    horizon_secs: u64,
+    obs: &Observed,
+) -> Simulation {
+    let mut sim = build_scenario(scenario, seed);
+    sim.set_executor(executor_for(executor));
+    obs.apply(&mut sim);
+    sim.run_until(SimTime::from_secs(horizon_secs));
+    sim
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For random seeds, horizons, executors and scenario families, a
-    /// fully-instrumented run (profiler + trace + response histograms)
-    /// observes exactly what an uninstrumented run observes.
+    /// run under a random subset of the observers observes exactly what
+    /// a bare run observes: the same series, clients and counters, and
+    /// the same responses — as exact histories, or as histograms equal
+    /// to the ones rebuilt from the bare run's histories.
     #[test]
     fn observed_and_bare_runs_are_bit_identical(
         seed in 0u64..1_000,
         horizon_secs in 90u64..150,
-        executor in 0usize..3,
-        scenario in 0usize..3,
+        executor in 0usize..EXECUTORS,
+        scenario in 0usize..SCENARIOS,
+        mask in 0u32..32,
+        rate_idx in 0usize..RATES.len(),
     ) {
-        let (bare, rebuilt) = run_baseline(scenario, seed, executor, horizon_secs);
-        let (observed, hists) = run_observed(scenario, seed, executor, horizon_secs);
-        prop_assert_eq!(&bare.0, &observed.0, "utilization diverged under observation");
-        prop_assert_eq!(&bare.1, &observed.1, "clients diverged under observation");
-        prop_assert_eq!(bare.2, observed.2, "fault counters diverged under observation");
-        prop_assert_eq!(&rebuilt, &hists, "response histograms diverged under observation");
+        let observed = Observed::from_mask(mask, rate_idx);
+        let bare = run(scenario, seed, executor, horizon_secs, &Observed::from_mask(0, 0));
+        let seen = run(scenario, seed, executor, horizon_secs, &observed);
+        let (bare, seen) = (bare.report(), seen.report());
+        let (want, got) = (signature(bare), signature(seen));
+        prop_assert_eq!(&want.0, &got.0, "utilization diverged under observation");
+        prop_assert_eq!(&want.1, &got.1, "clients diverged under observation");
+        prop_assert_eq!(&want.2, &got.2, "counters diverged under observation");
+        if observed.histograms {
+            prop_assert_eq!(
+                &rebuilt_histograms(bare),
+                &histograms(seen),
+                "response histograms diverged under observation"
+            );
+        } else {
+            prop_assert_eq!(
+                &histories(bare),
+                &histories(seen),
+                "responses diverged under observation"
+            );
+        }
     }
 }
 
@@ -326,4 +347,29 @@ fn jsonl_trailer_reports_first_drop_time_when_capacity_overflows() {
         overflowed,
         "no kind reported a first_dropped_us despite drops"
     );
+}
+
+/// The sharded registry's trace counters cover every shard's log, not
+/// just shard 0's.
+#[test]
+fn sharded_trace_counters_sum_over_shards() {
+    let mut sharded = ShardedSimulation::new(faulted::build(42), 2, None, None)
+        .expect("valid shard configuration");
+    for shard in sharded.shard_sims_mut() {
+        shard.enable_trace(100_000);
+    }
+    sharded.run_until(SimTime::from_secs(300));
+    let logs: Vec<_> = sharded
+        .shard_sims()
+        .map(|s| s.trace().expect("trace enabled"))
+        .collect();
+    assert!(
+        logs.iter().all(|t| !t.events().is_empty()),
+        "a shard recorded nothing"
+    );
+    let events: u64 = logs.iter().map(|t| t.events().len() as u64).sum();
+    let dropped: u64 = logs.iter().map(|t| t.dropped()).sum();
+    let registry = sharded.metrics_snapshot();
+    assert_eq!(registry.counter("trace.recorded"), Some(events));
+    assert_eq!(registry.counter("trace.dropped"), Some(dropped));
 }

@@ -1,85 +1,20 @@
 //! Causal operation tracing must be a pure observer: enabling
 //! `--trace-ops` at *any* sampling rate must not perturb the simulation
-//! by a single bit, on every executor family and on the sharded engine.
-//! Alongside the equivalence proptest, well-formedness checks pin the
+//! by a single bit. The single-engine executors are covered by the
+//! observer non-interference proptest in `observability.rs`; here a test
+//! pins the sharded engine. Alongside it, well-formedness checks pin the
 //! span model itself: every span is parented (halves under attempts,
 //! attempts under operations), no span runs backwards in time, the
 //! deterministic sampler admits exactly the exported roots, and the
 //! latency attribution of every completed operation sums *exactly* to
 //! its end-to-end response time.
 
-use gdisim_core::scenarios::{churned, faulted};
-use gdisim_core::{FaultAction, FaultEvent, FaultPlan, FaultTarget, Report, Simulation};
-use gdisim_core::{OpTraceRecorder, ShardedSimulation};
+mod common;
+
+use common::{build_scenario, RATES};
+use gdisim_core::{OpTraceRecorder, Report, ShardedSimulation};
 use gdisim_obs::{attribute, sample, HalfSpan, OpRecord, OpStatus};
-use gdisim_ports::Executor;
 use gdisim_types::SimTime;
-use proptest::prelude::*;
-
-fn executor_for(choice: usize) -> Executor {
-    match choice {
-        0 => Executor::serial(),
-        1 => Executor::scatter_gather(4),
-        _ => Executor::hdispatch(4, 16),
-    }
-}
-
-/// The tracing rates the equivalence suite sweeps: off, sparse, full.
-const RATES: [f64; 3] = [0.0, 0.37, 1.0];
-
-/// The staged WAN outage of the `faulted` scenario, compressed so the
-/// fault, retry and timeout machinery all fire inside a short horizon.
-fn compressed_fault_plan() -> FaultPlan {
-    let link = |label: &str| FaultTarget::WanLink {
-        label: label.into(),
-    };
-    use FaultAction::{Fail, Recover};
-    FaultPlan {
-        events: vec![
-            FaultEvent {
-                at_secs: 20.0,
-                target: link(faulted::PRIMARY_LINK),
-                action: Fail,
-            },
-            FaultEvent {
-                at_secs: 40.0,
-                target: link(faulted::BACKUP_LINK),
-                action: Fail,
-            },
-            FaultEvent {
-                at_secs: 60.0,
-                target: link(faulted::PRIMARY_LINK),
-                action: Recover,
-            },
-            FaultEvent {
-                at_secs: 60.0,
-                target: link(faulted::BACKUP_LINK),
-                action: Recover,
-            },
-        ],
-        in_flight: gdisim_core::InFlightPolicy::Bounce,
-        retry: Some(faulted::demo_retry_policy()),
-    }
-}
-
-/// Scenario 0: the compressed faulted run (retries, timeouts,
-/// evictions). Scenario 1: churned under the demo churn model and
-/// resilience bundle (hedges, breakers, shedding).
-fn build_scenario(scenario: usize, seed: u64) -> Simulation {
-    if scenario == 0 {
-        let mut sim = faulted::build(seed);
-        sim.set_fault_plan(compressed_fault_plan())
-            .expect("compressed plan matches the faulted topology");
-        sim
-    } else {
-        let mut sim = churned::build(seed);
-        sim.set_churn_model(churned::demo_churn_model())
-            .expect("demo model matches the churned topology");
-        sim.set_resilience(churned::demo_resilience())
-            .expect("demo policies match the churned topology");
-        sim
-    }
-}
 
 /// Everything a run observes: response histories, utilization series,
 /// the client series, and the fault/resilience/churn counters.
@@ -132,55 +67,18 @@ fn signature(report: &Report) -> Signature {
     )
 }
 
-fn run_serial(
-    scenario: usize,
-    seed: u64,
-    executor: usize,
-    horizon_secs: u64,
-    rate: Option<f64>,
-) -> Signature {
-    let mut sim = build_scenario(scenario, seed);
-    sim.set_executor(executor_for(executor));
-    if let Some(rate) = rate {
-        sim.enable_optrace(rate);
-    }
-    sim.run_until(SimTime::from_secs(horizon_secs));
-    signature(sim.report())
-}
-
 fn run_sharded(scenario: usize, seed: u64, horizon_secs: u64, rate: Option<f64>) -> Signature {
     let base = build_scenario(scenario, seed);
     let mut sim =
         ShardedSimulation::new(base, 4, None, Some(2)).expect("valid shard configuration");
     if let Some(rate) = rate {
-        sim.enable_optrace(rate);
+        for shard in sim.shard_sims_mut() {
+            shard.enable_optrace(rate);
+        }
     }
     sim.run_until(SimTime::from_secs(horizon_secs));
     assert_eq!(sim.ordering_violations(), 0, "mailbox sequence gap");
     signature(&sim.report())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// For random seeds, horizons and executors, a run with operation
-    /// tracing on — at any rate — observes exactly what an untraced run
-    /// observes, on both scenario families.
-    #[test]
-    fn traced_and_untraced_runs_are_bit_identical(
-        seed in 0u64..1_000,
-        horizon_secs in 90u64..150,
-        executor in 0usize..3,
-        scenario in 0usize..2,
-        rate_idx in 0usize..3,
-    ) {
-        let bare = run_serial(scenario, seed, executor, horizon_secs, None);
-        let traced = run_serial(scenario, seed, executor, horizon_secs, Some(RATES[rate_idx]));
-        prop_assert_eq!(&bare.0, &traced.0, "responses diverged under tracing");
-        prop_assert_eq!(&bare.1, &traced.1, "utilization diverged under tracing");
-        prop_assert_eq!(&bare.2, &traced.2, "clients diverged under tracing");
-        prop_assert_eq!(&bare.3, &traced.3, "counters diverged under tracing");
-    }
 }
 
 /// The sharded engine makes the same promise: tracing on a 4-shard run
@@ -366,9 +264,11 @@ fn sharded_export_stitches_cross_shard_spans() {
     let base = build_scenario(0, 42);
     let mut sim =
         ShardedSimulation::new(base, 4, None, Some(2)).expect("valid shard configuration");
-    sim.enable_optrace(1.0);
+    for shard in sim.shard_sims_mut() {
+        shard.enable_optrace(1.0);
+    }
     sim.run_until(SimTime::from_secs(120));
-    let recorders: Vec<&OpTraceRecorder> = sim.optraces().into_iter().flatten().collect();
+    let recorders: Vec<&OpTraceRecorder> = sim.shard_sims().filter_map(|s| s.optrace()).collect();
     assert!(recorders.len() > 1, "expected a multi-shard run");
     let mut total = 0usize;
     let mut remote = 0usize;

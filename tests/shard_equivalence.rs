@@ -208,20 +208,20 @@ fn run_sharded(
     let base = build(scenario, seed);
     let mut sim = ShardedSimulation::new(base, shards, None, Some(workers))
         .expect("valid shard configuration");
-    sim.enable_trace(50_000);
+    for shard in sim.shard_sims_mut() {
+        shard.enable_trace(50_000);
+    }
     sim.run_until(SimTime::from_secs(horizon_secs));
     assert_eq!(sim.ordering_violations(), 0, "mailbox sequence gap");
     let report = sim.report();
     let (responses, series, clients, avail, counters) = report_signature(&report);
     let traces: Vec<Vec<String>> = sim
-        .traces()
-        .into_iter()
-        .map(|t| render_trace(t.expect("trace enabled")))
+        .shard_sims()
+        .map(|s| render_trace(s.trace().expect("trace enabled")))
         .collect();
     let dropped: Vec<u64> = sim
-        .traces()
-        .into_iter()
-        .map(|t| t.expect("trace enabled").dropped())
+        .shard_sims()
+        .map(|s| s.trace().expect("trace enabled").dropped())
         .collect();
     (responses, series, clients, avail, counters, traces, dropped)
 }
