@@ -1,8 +1,9 @@
 //! Causal operation tracing must be a pure observer: enabling
 //! `--trace-ops` at *any* sampling rate must not perturb the simulation
-//! by a single bit. The single-engine executors are covered by the
-//! observer non-interference proptest in `observability.rs`; here a test
-//! pins the sharded engine. Alongside it, well-formedness checks pin the
+//! by a single bit, on every executor family and on the sharded engine.
+//! (The observer non-interference proptest in `observability.rs` also
+//! covers the span recorder among random observer subsets.) Alongside
+//! the equivalence tests, well-formedness checks pin the
 //! span model itself: every span is parented (halves under attempts,
 //! attempts under operations), no span runs backwards in time, the
 //! deterministic sampler admits exactly the exported roots, and the
@@ -11,10 +12,11 @@
 
 mod common;
 
-use common::{build_scenario, RATES};
+use common::{build_scenario, executor_for, RATES};
 use gdisim_core::{OpTraceRecorder, Report, ShardedSimulation};
 use gdisim_obs::{attribute, sample, HalfSpan, OpRecord, OpStatus};
 use gdisim_types::SimTime;
+use proptest::prelude::*;
 
 /// Everything a run observes: response histories, utilization series,
 /// the client series, and the fault/resilience/churn counters.
@@ -67,6 +69,22 @@ fn signature(report: &Report) -> Signature {
     )
 }
 
+fn run_serial(
+    scenario: usize,
+    seed: u64,
+    executor: usize,
+    horizon_secs: u64,
+    rate: Option<f64>,
+) -> Signature {
+    let mut sim = build_scenario(scenario, seed);
+    sim.set_executor(executor_for(executor));
+    if let Some(rate) = rate {
+        sim.enable_optrace(rate);
+    }
+    sim.run_until(SimTime::from_secs(horizon_secs));
+    signature(sim.report())
+}
+
 fn run_sharded(scenario: usize, seed: u64, horizon_secs: u64, rate: Option<f64>) -> Signature {
     let base = build_scenario(scenario, seed);
     let mut sim =
@@ -79,6 +97,29 @@ fn run_sharded(scenario: usize, seed: u64, horizon_secs: u64, rate: Option<f64>)
     sim.run_until(SimTime::from_secs(horizon_secs));
     assert_eq!(sim.ordering_violations(), 0, "mailbox sequence gap");
     signature(&sim.report())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// For random seeds, horizons and executors, a run with operation
+    /// tracing on — at any rate — observes exactly what an untraced run
+    /// observes, on both scenario families.
+    #[test]
+    fn traced_and_untraced_runs_are_bit_identical(
+        seed in 0u64..1_000,
+        horizon_secs in 90u64..150,
+        executor in 0usize..3,
+        scenario in 0usize..2,
+        rate_idx in 0usize..3,
+    ) {
+        let bare = run_serial(scenario, seed, executor, horizon_secs, None);
+        let traced = run_serial(scenario, seed, executor, horizon_secs, Some(RATES[rate_idx]));
+        prop_assert_eq!(&bare.0, &traced.0, "responses diverged under tracing");
+        prop_assert_eq!(&bare.1, &traced.1, "utilization diverged under tracing");
+        prop_assert_eq!(&bare.2, &traced.2, "clients diverged under tracing");
+        prop_assert_eq!(&bare.3, &traced.3, "counters diverged under tracing");
+    }
 }
 
 /// The sharded engine makes the same promise: tracing on a 4-shard run
