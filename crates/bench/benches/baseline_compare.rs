@@ -84,7 +84,8 @@ fn sim_three_tier(clients: f64) -> f64 {
         // magnitude below the canonical costs" applies per message).
         c.dt = gdisim_types::SimDuration::from_millis(10);
         c
-    });
+    })
+    .expect("every site is a data center");
     sim.set_master_policy(MasterPolicy::Local);
     let catalog = Catalog::standard(&rates::lab_rate_card());
     sim.add_application(catalog.app("CAD").expect("CAD").clone());
@@ -95,7 +96,8 @@ fn sim_three_tier(clients: f64) -> f64 {
             curve: DiurnalCurve::business_day(0.0, clients, clients).into(),
         }],
         ops_per_client_per_hour: 12.0,
-    });
+    })
+    .expect("workload names resolve");
     sim.run_until(SimTime::from_secs(120));
     sim.active_operations() as f64
 }

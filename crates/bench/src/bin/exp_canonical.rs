@@ -21,7 +21,8 @@ fn isolated_series_dt(kind: SeriesKind, dt: SimDuration) -> Vec<f64> {
     let mut config = gdisim_core::SimulationConfig::validation();
     config.seed = 1;
     config.dt = dt;
-    let mut sim = Simulation::new(infra, vec!["NA".into()], config);
+    let mut sim =
+        Simulation::new(infra, vec!["NA".into()], config).expect("every site is a data center");
     sim.set_master_policy(gdisim_core::MasterPolicy::Local);
     let rc = gdisim_core::scenarios::rates::lab_rate_card();
     let templates = Catalog::cad_series(kind, &rc);
@@ -33,7 +34,8 @@ fn isolated_series_dt(kind: SeriesKind, dt: SimDuration) -> Vec<f64> {
         "NA",
         SimTime::ZERO,
         Some(SimTime::from_secs(1)),
-    );
+    )
+    .expect("series site exists");
     sim.run_until(SimTime::from_secs(400));
     let report = sim.report();
     (0..8)

@@ -67,7 +67,8 @@ fn run_with(executor: Executor) -> f64 {
     let infra = Infrastructure::build(&scaling_topology(), 42).expect("topology");
     let mut config = SimulationConfig::validation();
     config.executor = executor;
-    let mut sim = Simulation::new(infra, vec!["NA".into()], config);
+    let mut sim =
+        Simulation::new(infra, vec!["NA".into()], config).expect("every site is a data center");
     sim.set_master_policy(MasterPolicy::Local);
     let rc = rates::lab_rate_card();
     for i in 0..STREAMS {
@@ -79,7 +80,8 @@ fn run_with(executor: Executor) -> f64 {
             "NA",
             SimTime::from_millis(i * 137),
             None,
-        );
+        )
+        .expect("series site exists");
     }
     let t0 = Instant::now();
     sim.run_until(SimTime::from_secs(SLICE_SECS));

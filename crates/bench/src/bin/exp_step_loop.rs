@@ -99,7 +99,8 @@ fn build_sparse(seed: u64) -> Simulation {
     let infra = Infrastructure::build(&spec, seed).expect("valid downscaled topology");
     let mut config = SimulationConfig::validation();
     config.seed = seed;
-    let mut sim = Simulation::new(infra, vec!["NA".into()], config);
+    let mut sim =
+        Simulation::new(infra, vec!["NA".into()], config).expect("every site is a data center");
     sim.set_master_policy(MasterPolicy::Local);
     let rc = rates::lab_rate_card();
     for i in 0..SPARSE_SOURCES {
@@ -110,7 +111,8 @@ fn build_sparse(seed: u64) -> Simulation {
             "NA",
             SimTime::ZERO + SimDuration::from_millis(50 * i),
             None,
-        );
+        )
+        .expect("series site exists");
     }
     sim
 }

@@ -478,11 +478,13 @@ fn dashboard(report: &Report, sites: &[&str]) {
     }
 }
 
-fn run_case_study(mut sim: Simulation, hours: u64, sites: &[&str]) {
+fn run_case_study(mut sim: Simulation, hours: u64, sites: &[&str]) -> Result<(), CliError> {
+    let horizon = clock("--hours", hours, 3_600)?;
     let wall = std::time::Instant::now();
-    sim.run_until(SimTime::from_hours(hours));
+    sim.run_until(horizon);
     println!("simulated {hours} h in {:?}", wall.elapsed());
     dashboard(sim.report(), sites);
+    Ok(())
 }
 
 /// Prints the degradation summary of a (possibly fault-injected) run:
@@ -677,38 +679,15 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
         }
         None => None,
     };
-    let (mut sim, default_horizon, sites): (Simulation, SimTime, Vec<&str>) =
-        match scenario.as_str() {
-            "validation" => {
-                let periods = validation::EXPERIMENTS[args.experiment - 1];
-                (
-                    validation::build(periods, args.seed),
-                    SimTime::ZERO + validation::HORIZON,
-                    vec!["NA"],
-                )
-            }
-            "faulted" => (
-                faulted::build(args.seed),
-                SimTime::ZERO + faulted::HORIZON,
-                faulted::SITES.to_vec(),
-            ),
-            "churned" => (
-                churned::build(args.seed),
-                SimTime::ZERO + churned::HORIZON,
-                churned::SITES.to_vec(),
-            ),
-            "consolidated" => (
-                consolidated::build(args.seed),
-                SimTime::from_hours(args.hours),
-                consolidated::SITES.to_vec(),
-            ),
-            "multimaster" => (
-                multimaster::build(args.seed),
-                SimTime::from_hours(args.hours),
-                multimaster::SITES.to_vec(),
-            ),
-            other => return Err(CliError::UnknownScenario(other.into())),
-        };
+    let (sites, horizon) = scenario_context(&scenario, args)?;
+    let mut sim = match scenario.as_str() {
+        "validation" => validation::build(validation::EXPERIMENTS[args.experiment - 1], args.seed),
+        "faulted" => faulted::build(args.seed),
+        "churned" => churned::build(args.seed),
+        "consolidated" => consolidated::build(args.seed),
+        // `scenario_context` accepted the name: this is multimaster.
+        _ => multimaster::build(args.seed),
+    };
     if args.response_hist {
         sim.enable_response_histograms();
     }
@@ -724,10 +703,6 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
         sim.set_resilience(policies)
             .map_err(CliError::BadResilience)?;
     }
-    let horizon = match args.minutes {
-        Some(m) => SimTime::from_secs(m * 60),
-        None => default_horizon,
-    };
     let mut installed = Vec::new();
     if args.faults.is_some() {
         installed.push("fault plan");
@@ -1118,18 +1093,34 @@ fn emit_crash_report(
     ))
 }
 
-/// Site list and default horizon for a built-in scenario name — what a
-/// resumed run needs to print the right dashboards without rebuilding
-/// the simulation (the checkpoint carries all actual state).
-fn scenario_context(scenario: &str, hours: u64) -> Result<(Vec<&'static str>, SimTime), CliError> {
-    Ok(match scenario {
-        "validation" => (vec!["NA"], SimTime::ZERO + validation::HORIZON),
-        "faulted" => (faulted::SITES.to_vec(), SimTime::ZERO + faulted::HORIZON),
-        "churned" => (churned::SITES.to_vec(), SimTime::ZERO + churned::HORIZON),
-        "consolidated" => (consolidated::SITES.to_vec(), SimTime::from_hours(hours)),
-        "multimaster" => (multimaster::SITES.to_vec(), SimTime::from_hours(hours)),
+/// Site list and horizon of a run of a built-in scenario: `--minutes`
+/// when given, else the scenario's own span (`--hours` for the case
+/// studies). A resumed run needs no more to print the right dashboards
+/// (the checkpoint carries all actual state).
+fn scenario_context(scenario: &str, args: &Args) -> Result<(Vec<&'static str>, SimTime), CliError> {
+    let (sites, span) = match scenario {
+        "validation" => (vec!["NA"], Some(validation::HORIZON)),
+        "faulted" => (faulted::SITES.to_vec(), Some(faulted::HORIZON)),
+        "churned" => (churned::SITES.to_vec(), Some(churned::HORIZON)),
+        "consolidated" => (consolidated::SITES.to_vec(), None),
+        "multimaster" => (multimaster::SITES.to_vec(), None),
         other => return Err(CliError::UnknownScenario(other.into())),
-    })
+    };
+    let horizon = match (args.minutes, span) {
+        (Some(m), _) => clock("--minutes", m, 60)?,
+        (None, Some(span)) => SimTime::ZERO + span,
+        (None, None) => clock("--hours", args.hours, 3_600)?,
+    };
+    Ok((sites, horizon))
+}
+
+/// `n` units of `unit_secs` seconds each as a simulation time. The
+/// microsecond product is checked: a count past the clock's range is a
+/// usage error, never a silently wrapped horizon.
+fn clock(flag: &str, n: u64, unit_secs: u64) -> Result<SimTime, CliError> {
+    n.checked_mul(unit_secs * 1_000_000)
+        .map(SimTime)
+        .ok_or_else(|| CliError::Usage(format!("{flag} {n} is past the simulation clock's range")))
 }
 
 /// The `--resume` path of the `run` subcommand: reads the checkpoint,
@@ -1158,11 +1149,7 @@ fn cmd_resume(args: &Args, path: &str) -> Result<(), CliError> {
         }
     }
     let seed = snap.meta.seed;
-    let (sites, default_horizon) = scenario_context(&scenario, args.hours)?;
-    let horizon = match args.minutes {
-        Some(m) => SimTime::from_secs(m * 60),
-        None => default_horizon,
-    };
+    let (sites, horizon) = scenario_context(&scenario, args)?;
     let header = format!(
         "resume: scenario {scenario}, seed {seed}, from {} to {horizon}",
         snap.meta.now
@@ -1441,7 +1428,7 @@ fn run_cli(args: &Args) -> Result<(), CliError> {
                 consolidated::build(args.seed),
                 args.hours,
                 &consolidated::SITES,
-            );
+            )?;
         }
         "multimaster" => {
             println!("multiple-master case study (Ch. 7), seed {}", args.seed);
@@ -1449,7 +1436,7 @@ fn run_cli(args: &Args) -> Result<(), CliError> {
                 multimaster::build(args.seed),
                 args.hours,
                 &multimaster::SITES,
-            );
+            )?;
         }
         "run" => cmd_run(args)?,
         "export" => {

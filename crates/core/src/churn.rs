@@ -109,6 +109,17 @@ pub struct DomainMember {
     pub server: usize,
 }
 
+impl DomainMember {
+    /// The member as a fault target.
+    pub fn target(&self) -> crate::fault::FaultTarget {
+        crate::fault::FaultTarget::Server {
+            site: self.site.clone(),
+            tier: self.tier,
+            server: self.server,
+        }
+    }
+}
+
 /// A correlated failure domain: a named server group (a rack, a power
 /// feed, …) that fails and recovers *atomically* under one shared
 /// renewal process.

@@ -252,7 +252,7 @@ pub fn build(seed: u64) -> Simulation {
     config.dt = SimDuration::from_millis(10);
     config.seed = seed;
     let sites: Vec<String> = SITES.iter().map(|s| s.to_string()).collect();
-    let mut sim = Simulation::new(infra, sites, config);
+    let mut sim = Simulation::new(infra, sites, config).expect("every site is a data center");
     sim.set_master_policy(MasterPolicy::Fixed(0)); // NA
 
     let catalog = Catalog::standard(&rates::lab_rate_card());
@@ -260,7 +260,7 @@ pub fn build(seed: u64) -> Simulation {
         sim.add_application(app);
     }
     for wl in workloads() {
-        sim.add_diurnal(wl);
+        sim.add_diurnal(wl).expect("workload names resolve");
     }
 
     let split = OwnershipSplit::single_master(SITES.len(), 0);

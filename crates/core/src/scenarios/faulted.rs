@@ -103,7 +103,8 @@ pub fn build(seed: u64) -> Simulation {
     let infra = Infrastructure::build(&topology, seed).expect("faulted topology is well-formed");
     let mut config = SimulationConfig::case_study();
     config.seed = seed;
-    let mut sim = Simulation::new(infra, SITES.iter().map(|s| s.to_string()).collect(), config);
+    let mut sim = Simulation::new(infra, SITES.iter().map(|s| s.to_string()).collect(), config)
+        .expect("every site is a data center");
     sim.set_master_policy(MasterPolicy::Fixed(0));
     let catalog = Catalog::standard(&rates::lab_rate_card());
     sim.add_application(catalog.app("CAD").expect("CAD in catalog").clone());
@@ -120,7 +121,8 @@ pub fn build(seed: u64) -> Simulation {
             },
         ],
         ops_per_client_per_hour: 12.0,
-    });
+    })
+    .expect("workload names resolve");
     sim
 }
 

@@ -172,7 +172,7 @@ pub fn build(seed: u64) -> Simulation {
     config.dt = SimDuration::from_millis(10);
     config.seed = seed;
     let sites: Vec<String> = SITES.iter().map(|s| s.to_string()).collect();
-    let mut sim = Simulation::new(infra, sites, config);
+    let mut sim = Simulation::new(infra, sites, config).expect("every site is a data center");
 
     let apm = AccessPatternMatrix::multimaster_table_7_2();
     sim.set_master_policy(MasterPolicy::ByOwnership(apm.clone()));
@@ -182,7 +182,7 @@ pub fn build(seed: u64) -> Simulation {
         sim.add_application(app);
     }
     for wl in workloads() {
-        sim.add_diurnal(wl);
+        sim.add_diurnal(wl).expect("workload names resolve");
     }
 
     let split = OwnershipSplit::from_access_pattern(&apm);

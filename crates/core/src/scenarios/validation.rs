@@ -136,7 +136,8 @@ pub fn build(periods: ExperimentPeriods, seed: u64) -> Simulation {
     let infra = Infrastructure::build(&spec, seed).expect("valid downscaled topology");
     let mut config = SimulationConfig::validation();
     config.seed = seed;
-    let mut sim = Simulation::new(infra, vec!["NA".into()], config);
+    let mut sim =
+        Simulation::new(infra, vec!["NA".into()], config).expect("every site is a data center");
     sim.set_master_policy(MasterPolicy::Local);
 
     let rc = rates::lab_rate_card();
@@ -154,7 +155,8 @@ pub fn build(periods: ExperimentPeriods, seed: u64) -> Simulation {
             "NA",
             SimTime::ZERO,
             stop,
-        );
+        )
+        .expect("NA is a site");
     }
     sim
 }

@@ -274,3 +274,35 @@ fn sharded_trace_totals_cover_every_shard() {
         .and_then(|n| n.as_u64());
     assert_eq!(recorded, Some(events), "registry trace.recorded");
 }
+
+/// A horizon past the simulation clock's range is a usage error: the
+/// microsecond product is checked instead of wrapping (a release build
+/// would otherwise run a silently shortened horizon, a debug build
+/// panic).
+#[test]
+fn overflowing_horizon_is_a_usage_error() {
+    for args in [
+        [
+            "run",
+            "--scenario",
+            "consolidated",
+            "--hours",
+            "5124095576030432",
+        ],
+        [
+            "run",
+            "--scenario",
+            "validation",
+            "--minutes",
+            "307445734561826",
+        ],
+    ] {
+        let out = gdisim(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("past the simulation clock's range") && !stderr.contains("panicked"),
+            "{args:?}: {stderr}"
+        );
+    }
+}

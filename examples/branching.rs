@@ -10,6 +10,7 @@
 //! ```
 
 use gdisim_core::scenarios::consolidated;
+use gdisim_core::{FaultAction, FaultTarget};
 use gdisim_metrics::ResponseKey;
 use gdisim_types::{AppId, DcId, OpTypeId, SimDuration, SimTime};
 
@@ -28,8 +29,11 @@ fn main() {
     // impossible — but wait: EU routes to the master *only* via that
     // link, so we restore it an hour later and watch the backlog clear.
     let mut outage = baseline.branch();
-    outage.schedule_link_failure("L NA->EU", SimTime::from_hours(12));
-    outage.schedule_link_restore("L NA->EU", SimTime::from_hours(13));
+    let trunk = FaultTarget::WanLink {
+        label: "L NA->EU".into(),
+    };
+    outage.schedule_health(trunk.clone(), FaultAction::Fail, SimTime::from_hours(12));
+    outage.schedule_health(trunk, FaultAction::Recover, SimTime::from_hours(13));
 
     let until = SimTime::from_hours(15);
     baseline.run_until(until);

@@ -88,7 +88,8 @@ fn main() {
         infra,
         vec!["NA".into(), "EU".into()],
         SimulationConfig::case_study(),
-    );
+    )
+    .expect("every site is a data center");
     sim.set_master_policy(MasterPolicy::Fixed(0));
 
     let catalog = Catalog::standard(&rates::lab_rate_card());
@@ -118,7 +119,8 @@ fn main() {
             },
         ],
         ops_per_client_per_hour: 12.0,
-    });
+    })
+    .expect("workload names resolve");
     // The attack wave: hour 1 to hour 2 from the EU side. The
     // "countermeasure" at hour 2 is the curve dropping to zero —
     // upstream filtering shedding the bot population.
@@ -129,7 +131,8 @@ fn main() {
             curve: attack_curve(1.0, 2.0, ATTACK_CLIENTS).into(),
         }],
         ops_per_client_per_hour: 60.0, // bots hammer
-    });
+    })
+    .expect("workload names resolve");
 
     let wall = std::time::Instant::now();
     sim.run_until(SimTime::from_hours(3));

@@ -64,7 +64,8 @@ fn main() {
         let mut c = SimulationConfig::case_study();
         c.dt = gdisim_types::SimDuration::from_millis(10);
         c
-    });
+    })
+    .expect("every site is a data center");
     sim.set_master_policy(MasterPolicy::Fixed(0)); // NA manages all files
 
     // 3. Load the calibrated CAD application and a flat busy workload:
@@ -84,7 +85,8 @@ fn main() {
             },
         ],
         ops_per_client_per_hour: 12.0,
-    });
+    })
+    .expect("workload names resolve");
 
     // 4. Run five simulated minutes.
     let horizon = SimTime::from_secs(300);

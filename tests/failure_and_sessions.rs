@@ -4,7 +4,7 @@
 //! session clients (Ch. 9.2.1).
 
 use gdisim_core::scenarios::rates;
-use gdisim_core::{MasterPolicy, Simulation, SimulationConfig};
+use gdisim_core::{FaultAction, FaultTarget, MasterPolicy, Simulation, SimulationConfig};
 use gdisim_infra::{
     ClientAccessSpec, DataCenterSpec, Infrastructure, TierSpec, TierStorageSpec, TopologySpec,
     WanLinkSpec,
@@ -60,11 +60,26 @@ fn two_dc_topology(with_backup: bool) -> TopologySpec {
     }
 }
 
+fn link(label: &str) -> FaultTarget {
+    FaultTarget::WanLink {
+        label: label.into(),
+    }
+}
+
+fn app_server(site: &str, server: usize) -> FaultTarget {
+    FaultTarget::Server {
+        site: site.into(),
+        tier: TierKind::App,
+        server,
+    }
+}
+
 fn sim_with(topology: &TopologySpec, seed: u64) -> Simulation {
     let infra = Infrastructure::build(topology, seed).expect("topology");
     let mut config = SimulationConfig::case_study();
     config.seed = seed;
-    let mut sim = Simulation::new(infra, vec!["NA".into(), "EU".into()], config);
+    let mut sim = Simulation::new(infra, vec!["NA".into(), "EU".into()], config)
+        .expect("every site is a data center");
     sim.set_master_policy(MasterPolicy::Fixed(0));
     let catalog = Catalog::standard(&rates::lab_rate_card());
     sim.add_application(catalog.app("CAD").expect("CAD").clone());
@@ -82,10 +97,12 @@ fn link_failure_shifts_traffic_to_backup() {
             curve: DiurnalCurve::business_day(0.0, 120.0, 120.0).into(),
         }],
         ops_per_client_per_hour: 12.0,
-    });
+    })
+    .expect("workload names resolve");
     // Fail the primary at t = 10 min, restore at t = 20 min.
-    sim.schedule_link_failure("L NA->EU", SimTime::from_secs(600));
-    sim.schedule_link_restore("L NA->EU", SimTime::from_secs(1200));
+    let (fail, recover) = (FaultAction::Fail, FaultAction::Recover);
+    sim.schedule_health(link("L NA->EU"), fail, SimTime::from_secs(600));
+    sim.schedule_health(link("L NA->EU"), recover, SimTime::from_secs(1200));
     sim.run_until(SimTime::from_secs(1800));
     let report = sim.into_report();
 
@@ -158,10 +175,12 @@ fn server_failure_concentrates_load_then_recovers() {
             curve: DiurnalCurve::business_day(0.0, 200.0, 200.0).into(),
         }],
         ops_per_client_per_hour: 12.0,
-    });
+    })
+    .expect("workload names resolve");
     // Half the app tier dies at 10 min and returns at 20 min.
-    sim.schedule_server_failure("NA", TierKind::App, 0, SimTime::from_secs(600));
-    sim.schedule_server_restore("NA", TierKind::App, 0, SimTime::from_secs(1200));
+    let (fail, recover) = (FaultAction::Fail, FaultAction::Recover);
+    sim.schedule_health(app_server("NA", 0), fail, SimTime::from_secs(600));
+    sim.schedule_health(app_server("NA", 0), recover, SimTime::from_secs(1200));
     sim.run_until(SimTime::from_secs(1800));
     let report = sim.into_report();
     let tapp = report.cpu("NA", TierKind::App).expect("Tapp");
@@ -191,14 +210,88 @@ fn server_failure_concentrates_load_then_recovers() {
 }
 
 #[test]
+fn data_center_failure_stops_every_server_then_recovers() {
+    // One health change names a whole site: every server of NA stops
+    // admitting work for ten minutes, then all of them serve again. A
+    // misspelled site in the same schedule is refused, not panicked on.
+    let topology = two_dc_topology(false);
+    let mut sim = sim_with(&topology, 9);
+    sim.add_diurnal(AppWorkload {
+        app: "CAD".into(),
+        sites: vec![SiteLoad {
+            site: "NA".into(),
+            curve: DiurnalCurve::business_day(0.0, 200.0, 200.0).into(),
+        }],
+        ops_per_client_per_hour: 12.0,
+    })
+    .expect("workload names resolve");
+    let site = |name: &str| FaultTarget::DataCenter { site: name.into() };
+    let (fail, recover) = (FaultAction::Fail, FaultAction::Recover);
+    sim.schedule_health(site("Atlantis"), fail, SimTime::from_secs(60));
+    sim.schedule_health(site("NA"), fail, SimTime::from_secs(600));
+    sim.schedule_health(site("NA"), recover, SimTime::from_secs(1200));
+    sim.run_until(SimTime::from_secs(1800));
+    let report = sim.into_report();
+
+    let errors = &report.health_errors;
+    assert_eq!(
+        errors.len(),
+        1,
+        "only the unknown site is refused: {errors:?}"
+    );
+    assert_eq!(errors[0].at, SimTime::from_secs(60));
+    assert!(
+        errors[0].reason.contains("Atlantis"),
+        "{}",
+        errors[0].reason
+    );
+
+    let window = |tier, from: u64, to: u64| {
+        let cpu = report.cpu("NA", tier).expect("NA tier reported");
+        cpu.window_mean(SimTime::from_secs(from), SimTime::from_secs(to))
+    };
+    for tier in [TierKind::App, TierKind::Db, TierKind::Fs, TierKind::Idx] {
+        // Messages already past admission finish their hops; nothing
+        // new is admitted while the site is down.
+        let (before, during) = (window(tier, 120, 600), window(tier, 660, 1200));
+        let after = window(tier, 1260, 1800);
+        assert!(
+            during < before / 100.0,
+            "{tier} servers must go quiet while NA is down: {during} vs {before}"
+        );
+        assert!(after > during, "{tier} servers must serve again: {after}");
+    }
+    assert!(
+        report.faults.failed_operations > 0,
+        "launches during the outage cannot be routed"
+    );
+    let login = ResponseKey {
+        app: AppId(0),
+        op: OpTypeId(0),
+        dc: DcId(0),
+    };
+    let completed = |from: u64, to: u64| {
+        let history = report.responses.history(login);
+        let (from, to) = (SimTime::from_secs(from), SimTime::from_secs(to));
+        history.iter().filter(|(t, _)| *t > from && *t < to).count()
+    };
+    assert_eq!(completed(660, 1200), 0, "nothing completes at a dead site");
+    assert!(
+        completed(1260, 1800) > 10,
+        "service resumes after the restore"
+    );
+}
+
+#[test]
 fn unknown_site_in_a_server_event_is_refused_not_panicked() {
     // Site names come from user input: a misspelled one must surface as
     // a refused health event when it applies, and the run carry on.
     let topology = two_dc_topology(false);
     let mut sim = sim_with(&topology, 9);
-    sim.schedule_server_failure("Atlantis", TierKind::App, 0, SimTime::from_secs(60));
-    sim.schedule_server_restore("Atlantis", TierKind::App, 0, SimTime::from_secs(120));
-    sim.schedule_server_failure("NA", TierKind::App, 0, SimTime::from_secs(90));
+    let (fail, recover) = (FaultAction::Fail, FaultAction::Recover);
+    sim.schedule_health(app_server("Atlantis", 0), fail, SimTime::from_secs(60));
+    sim.schedule_health(app_server("Atlantis", 0), recover, SimTime::from_secs(120));
+    sim.schedule_health(app_server("NA", 0), fail, SimTime::from_secs(90));
     sim.run_until(SimTime::from_secs(180));
     let errors = &sim.report().health_errors;
     let at: Vec<SimTime> = errors.iter().map(|e| e.at).collect();
@@ -227,7 +320,8 @@ fn sessions_track_the_population_curve() {
             ops_per_client_per_hour: 0.0, // unused by the session model
         },
         300.0,
-    );
+    )
+    .expect("session workload is valid");
     sim.run_until(SimTime::from_secs(1200));
     assert_eq!(
         sim.logged_in_sessions(),
@@ -287,7 +381,8 @@ fn session_population_shrinks_on_ramp_down() {
             ops_per_client_per_hour: 0.0,
         },
         120.0,
-    );
+    )
+    .expect("session workload is valid");
     sim.run_until(SimTime::from_secs(30 * 60));
     assert!(sim.logged_in_sessions() > 50, "plateau fills up");
     // Well past ramp-down (sessions retire at their next wake, so give

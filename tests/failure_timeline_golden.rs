@@ -12,7 +12,7 @@
 //! change, and say so where the change is recorded.
 
 use gdisim_core::scenarios::{churned, faulted};
-use gdisim_core::Simulation;
+use gdisim_core::{FaultAction, FaultTarget, Simulation};
 use gdisim_types::{SimTime, TierKind};
 
 /// Length and FNV-1a 64 hash of `bytes`, as `len:hash`.
@@ -79,7 +79,7 @@ fn churn_model_run_matches_golden() {
     );
 }
 
-/// (c) Health changes scheduled through the `schedule_*` front ends:
+/// (c) Health changes scheduled through `Simulation::schedule_health`:
 /// a WAN link and a server fail and come back, and failing the App
 /// tier's other server while the first is down is refused (a tier's
 /// last healthy server cannot fail), which must land in
@@ -87,11 +87,20 @@ fn churn_model_run_matches_golden() {
 #[test]
 fn health_schedule_run_matches_golden() {
     let mut sim = faulted::build(42);
-    sim.schedule_link_failure(faulted::PRIMARY_LINK, SimTime::from_secs(300));
-    sim.schedule_server_failure("NA", TierKind::App, 0, SimTime::from_secs(360));
-    sim.schedule_server_failure("NA", TierKind::App, 1, SimTime::from_secs(480));
-    sim.schedule_link_restore(faulted::PRIMARY_LINK, SimTime::from_secs(720));
-    sim.schedule_server_restore("NA", TierKind::App, 0, SimTime::from_secs(840));
+    let link = || FaultTarget::WanLink {
+        label: faulted::PRIMARY_LINK.into(),
+    };
+    let app = |server| FaultTarget::Server {
+        site: "NA".into(),
+        tier: TierKind::App,
+        server,
+    };
+    let (fail, recover) = (FaultAction::Fail, FaultAction::Recover);
+    sim.schedule_health(link(), fail, SimTime::from_secs(300));
+    sim.schedule_health(app(0), fail, SimTime::from_secs(360));
+    sim.schedule_health(app(1), fail, SimTime::from_secs(480));
+    sim.schedule_health(link(), recover, SimTime::from_secs(720));
+    sim.schedule_health(app(0), recover, SimTime::from_secs(840));
     let (sim, report, trace) = run(sim, 20);
     let errors = &sim.report().health_errors;
     assert_eq!(errors.len(), 1, "exactly the refused failure: {errors:?}");
