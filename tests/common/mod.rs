@@ -1,11 +1,23 @@
-//! Shared fixtures for the observer suites (`observability`, `optrace`).
-//! Compiled into each test binary separately, so not every binary uses
-//! every item.
+//! Shared fixtures for the observer suites (`observability`, `optrace`),
+//! the polling-equivalence suites (`wheel_equivalence`,
+//! `wheel_cancellation`) and the golden pins. Compiled into each test
+//! binary separately, so not every binary uses every item.
 #![allow(dead_code)]
 
 use gdisim_core::scenarios::{churned, consolidated, faulted, validation};
 use gdisim_core::{FaultAction, FaultEvent, FaultPlan, FaultTarget, Simulation};
 use gdisim_ports::Executor;
+
+/// Length and FNV-1a 64 hash of `bytes`, as `len:hash` (the golden
+/// pins' digest).
+pub fn digest(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    format!("{}:{h:016x}", bytes.len())
+}
 
 /// Executor families the suites sweep: serial, Scatter-Gather,
 /// H-Dispatch.
@@ -55,6 +67,51 @@ pub fn compressed_fault_plan() -> FaultPlan {
         in_flight: gdisim_core::InFlightPolicy::Bounce,
         retry: Some(faulted::demo_retry_policy()),
     }
+}
+
+/// Repeated fail/recover cycles of the primary WAN link under
+/// `InFlightPolicy::Drop`, with a per-attempt timeout short enough to
+/// expire inside a two-minute horizon and fast backoff: operations
+/// caught by a failure hang silently until their timeout reaps them,
+/// retry, and complete in waves, so timeout and retry deadlines are
+/// armed, outlived and reaped thousands of times per run.
+pub fn cancellation_heavy_plan() -> FaultPlan {
+    let link = || FaultTarget::WanLink {
+        label: faulted::PRIMARY_LINK.into(),
+    };
+    let mut events = Vec::new();
+    for cycle in 0..6u32 {
+        let base = 10.0 + 13.0 * f64::from(cycle);
+        events.push(FaultEvent {
+            at_secs: base,
+            target: link(),
+            action: FaultAction::Fail,
+        });
+        events.push(FaultEvent {
+            at_secs: base + 6.0,
+            target: link(),
+            action: FaultAction::Recover,
+        });
+    }
+    FaultPlan {
+        events,
+        in_flight: gdisim_core::InFlightPolicy::Drop,
+        retry: Some(gdisim_workload::RetryPolicy {
+            timeout_secs: 8.0,
+            max_retries: 3,
+            backoff_base_secs: 1.0,
+            backoff_factor: 2.0,
+            backoff_cap_secs: 10.0,
+        }),
+    }
+}
+
+/// The faulted scenario under [`cancellation_heavy_plan`].
+pub fn build_cancellation_heavy(seed: u64) -> Simulation {
+    let mut sim = faulted::build(seed);
+    sim.set_fault_plan(cancellation_heavy_plan())
+        .expect("cancellation-heavy plan matches the faulted topology");
+    sim
 }
 
 /// Number of scenarios [`build_scenario`] knows.

@@ -1,6 +1,11 @@
 //! Golden pins for every way a run fails and restores infrastructure:
 //! the staged fault plan, the stochastic churn model, directly
 //! scheduled health changes, and a fault plan and churn model together.
+//! Two more cases pin the phase-1 drains at their extremes: a
+//! series-only validation run, where the traffic scan runs only when a
+//! series launch is due, and a cancellation-heavy run whose timeout and
+//! retry calendars churn constantly (with its mid-run engine bytes,
+//! which carry the calendars' contents).
 //!
 //! Each case pins two FNV-1a 64 digests: one of the snap encoding of
 //! the final [`Report`](gdisim_core::Report), one of the JSONL export
@@ -11,25 +16,23 @@
 //! one byte fails here. Regenerate a pin only for a deliberate model
 //! change, and say so where the change is recorded.
 
-use gdisim_core::scenarios::{churned, faulted};
+mod common;
+
+use common::digest;
+use gdisim_core::scenarios::{churned, faulted, validation};
 use gdisim_core::{FaultAction, FaultTarget, Simulation};
 use gdisim_types::{SimTime, TierKind};
-
-/// Length and FNV-1a 64 hash of `bytes`, as `len:hash`.
-fn digest(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    format!("{}:{h:016x}", bytes.len())
-}
 
 /// Runs `sim` with a 100 000-event trace (as `gdisim run` does) to
 /// `minutes` and returns the `(report, trace)` digests.
 fn run(mut sim: Simulation, minutes: u64) -> (Simulation, String, String) {
     sim.enable_trace(100_000);
     sim.run_until(SimTime::from_secs(minutes * 60));
+    finish(sim)
+}
+
+/// The `(report, trace)` digests of a traced run.
+fn finish(sim: Simulation) -> (Simulation, String, String) {
     let report = digest(&gdisim_snap::to_bytes(sim.report()));
     let mut jsonl = Vec::new();
     sim.trace()
@@ -141,5 +144,47 @@ fn fault_plan_with_churn_run_matches_golden() {
         "faulted + demo plan + demo churn",
         (&report, &trace),
         ("22173:114622c44da082a0", "2102947:ee51030e4d06227c"),
+    );
+}
+
+/// (e) The first validation experiment: periodic series sources only,
+/// so no source needs a per-step visit and the traffic scan runs only
+/// at series launches.
+#[test]
+fn series_only_validation_run_matches_golden() {
+    let (sim, report, trace) = run(validation::build(validation::EXPERIMENTS[0], 42), 20);
+    assert!(sim.report().responses.total_recorded() > 0, "no series ran");
+    assert_pinned(
+        "validation experiment 1",
+        (&report, &trace),
+        ("69112:b42d7bf0b2f2fab6", "3485828:a412e26b876b8c3c"),
+    );
+}
+
+/// (f) The cancellation-heavy run of the polling-equivalence suites:
+/// short timeouts, `InFlightPolicy::Drop` and six link flaps. The
+/// mid-run engine bytes are pinned too: they hold the timeout calendar,
+/// whose contents depend on when settled attempts' entries are dropped.
+#[test]
+fn cancellation_heavy_run_matches_golden() {
+    let mut sim = common::build_cancellation_heavy(42);
+    sim.enable_trace(100_000);
+    sim.run_until(SimTime::from_secs(45));
+    let mid = digest(&gdisim_snap::to_bytes(&sim));
+    sim.run_until(SimTime::from_secs(120));
+    let (sim, report, trace) = finish(sim);
+    let f = &sim.report().faults;
+    assert!(
+        f.failed_operations > 0 && f.retried_operations > 0,
+        "plan inert"
+    );
+    assert_eq!(
+        mid, "49844:cefac37145b729ae",
+        "cancellation-heavy: mid-run engine bytes moved"
+    );
+    assert_pinned(
+        "cancellation-heavy plan",
+        (&report, &trace),
+        ("3285:c41c48d90e54603b", "344900:2a59f3a1fb38c2ef"),
     );
 }

@@ -16,69 +16,11 @@
 //! compared bit-for-bit against `set_always_poll(true)` runs across all
 //! three executors, down to the message-level hop trace.
 
-use gdisim_core::scenarios::faulted;
-use gdisim_core::{FaultAction, FaultEvent, FaultPlan, FaultTarget, Simulation};
-use gdisim_ports::Executor;
+mod common;
+
+use common::{build_cancellation_heavy as build, executor_for};
 use gdisim_types::SimTime;
-use gdisim_workload::RetryPolicy;
 use proptest::prelude::*;
-
-fn executor_for(choice: usize) -> Executor {
-    match choice {
-        0 => Executor::serial(),
-        1 => Executor::scatter_gather(4),
-        _ => Executor::hdispatch(4, 16),
-    }
-}
-
-/// A retry policy whose per-attempt timeout is short enough to actually
-/// expire inside the proptest horizon (the demo policy's 300 s timeout
-/// never fires there), with fast backoff so retries land quickly.
-fn churn_retry_policy() -> RetryPolicy {
-    RetryPolicy {
-        timeout_secs: 8.0,
-        max_retries: 3,
-        backoff_base_secs: 1.0,
-        backoff_factor: 2.0,
-        backoff_cap_secs: 10.0,
-    }
-}
-
-/// Repeated fail/recover cycles of the primary WAN link under
-/// `InFlightPolicy::Drop`: in-flight operations caught by a failure hang
-/// silently until their short timeout reaps them, exercising the real
-/// timeout path (not just completion-side cancellation) every cycle.
-fn churn_fault_plan() -> FaultPlan {
-    let link = || FaultTarget::WanLink {
-        label: faulted::PRIMARY_LINK.into(),
-    };
-    let mut events = Vec::new();
-    for cycle in 0..6u32 {
-        let base = 10.0 + 13.0 * f64::from(cycle);
-        events.push(FaultEvent {
-            at_secs: base,
-            target: link(),
-            action: FaultAction::Fail,
-        });
-        events.push(FaultEvent {
-            at_secs: base + 6.0,
-            target: link(),
-            action: FaultAction::Recover,
-        });
-    }
-    FaultPlan {
-        events,
-        in_flight: gdisim_core::InFlightPolicy::Drop,
-        retry: Some(churn_retry_policy()),
-    }
-}
-
-fn build(seed: u64) -> Simulation {
-    let mut sim = faulted::build(seed);
-    sim.set_fault_plan(churn_fault_plan())
-        .expect("churn plan matches the faulted topology");
-    sim
-}
 
 /// Everything a run observes — response histories, utilization series,
 /// client series, fault counters, and the rendered message-level trace

@@ -13,79 +13,13 @@
 //!
 //! Identity across all three pins the whole fast-path stack at once.
 
+mod common;
+
+use common::{build_cancellation_heavy, compressed_fault_plan, executor_for};
 use gdisim_core::scenarios::{consolidated, faulted, validation};
-use gdisim_core::{FaultAction, FaultEvent, FaultPlan, FaultTarget, Simulation};
-use gdisim_ports::Executor;
+use gdisim_core::Simulation;
 use gdisim_types::SimTime;
 use proptest::prelude::*;
-
-fn executor_for(choice: usize) -> Executor {
-    match choice {
-        0 => Executor::serial(),
-        1 => Executor::scatter_gather(4),
-        _ => Executor::hdispatch(4, 16),
-    }
-}
-
-/// The staged WAN outage of the `faulted` scenario, compressed so that
-/// failover, partition, retries and recovery all land inside a short
-/// proptest horizon.
-fn compressed_fault_plan() -> FaultPlan {
-    let link = |label: &str| FaultTarget::WanLink {
-        label: label.into(),
-    };
-    let event = |at_secs: f64, target, action| FaultEvent {
-        at_secs,
-        target,
-        action,
-    };
-    use FaultAction::{Fail, Recover};
-    FaultPlan {
-        events: vec![
-            event(20.0, link(faulted::PRIMARY_LINK), Fail),
-            event(40.0, link(faulted::BACKUP_LINK), Fail),
-            event(60.0, link(faulted::PRIMARY_LINK), Recover),
-            event(60.0, link(faulted::BACKUP_LINK), Recover),
-        ],
-        in_flight: gdisim_core::InFlightPolicy::Bounce,
-        retry: Some(faulted::demo_retry_policy()),
-    }
-}
-
-/// Fast fail/recover cycles of the primary link with a short-timeout
-/// retry policy under `InFlightPolicy::Drop`: operations time out for
-/// real, retry, and complete in waves — a cancellation-heavy load that
-/// bumps the wheel's generation counters thousands of times per run.
-fn churn_fault_plan() -> FaultPlan {
-    let link = || FaultTarget::WanLink {
-        label: faulted::PRIMARY_LINK.into(),
-    };
-    let mut events = Vec::new();
-    for cycle in 0..6u32 {
-        let base = 10.0 + 13.0 * f64::from(cycle);
-        events.push(FaultEvent {
-            at_secs: base,
-            target: link(),
-            action: FaultAction::Fail,
-        });
-        events.push(FaultEvent {
-            at_secs: base + 6.0,
-            target: link(),
-            action: FaultAction::Recover,
-        });
-    }
-    FaultPlan {
-        events,
-        in_flight: gdisim_core::InFlightPolicy::Drop,
-        retry: Some(gdisim_workload::RetryPolicy {
-            timeout_secs: 8.0,
-            max_retries: 3,
-            backoff_base_secs: 1.0,
-            backoff_factor: 2.0,
-            backoff_cap_secs: 10.0,
-        }),
-    }
-}
 
 fn build_scenario(scenario: usize, seed: u64) -> Simulation {
     match scenario {
@@ -101,12 +35,7 @@ fn build_scenario(scenario: usize, seed: u64) -> Simulation {
         // Cancellation churn: short timeouts + Drop policy + repeated
         // link flaps, so timeout gates are armed, cancelled and re-armed
         // continuously (the generation-counter protocol under load).
-        2 => {
-            let mut sim = faulted::build(seed);
-            sim.set_fault_plan(churn_fault_plan())
-                .expect("churn plan matches the faulted topology");
-            sim
-        }
+        2 => build_cancellation_heavy(seed),
         // Diurnal + session populations + background daemons: the
         // session-wake and background gates plus the ungated samplers.
         _ => consolidated::build(seed),
