@@ -246,7 +246,7 @@ impl BackgroundScheduler {
     /// launch, or — when a build is allowed and backlog is pending — the
     /// next INDEXBUILD gate. `None` only for a scheduler with no
     /// masters. A poll before this time returns nothing, which is what
-    /// lets the engine's timer wheel skip the per-step scan; an
+    /// lets the engine skip the per-step poll until this time; an
     /// INDEXBUILD completion can pull the horizon closer, so callers
     /// must re-ask after [`Self::poll`] and
     /// [`Self::on_indexbuild_complete`].

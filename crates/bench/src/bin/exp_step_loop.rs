@@ -1,38 +1,39 @@
-//! Event-indexed step loop: timer-wheel gating vs. per-step polling.
+//! Event-indexed step loop: due-time gating vs. per-step polling.
 //!
-//! Three workload shapes bracket the wheel's effect:
+//! Each phase-1 drain runs only once the head of its own queue is due
+//! (DESIGN.md §4.3). These workload shapes bracket the effect:
 //!
 //! * **sparse-series** — an idle-heavy lab: hundreds of periodic series
 //!   sources with multi-second intervals on the downscaled validation
 //!   topology. Almost every 10 ms step has *nothing* due, so the
 //!   polling loop's per-step sweep over all sources (plus the empty
-//!   retry/timeout/fault checks) dominates; the wheel skips all of it.
+//!   retry/timeout/fault checks) dominates; gating skips all of it.
 //! * **consolidated** — the saturated six-continent case study: diurnal
 //!   Poisson samplers must draw every step regardless (their RNG stream
-//!   is part of the result), so the wheel can only gate the remaining
-//!   classes and must at worst break even.
+//!   is part of the result), so only the remaining classes can be
+//!   gated, and gating must at worst break even.
 //! * **faulted-churn** — the faulted topology under repeated link flaps
 //!   with short-timeout retries and `InFlightPolicy::Drop`: the
 //!   cancellation-heavy "normal failure" load where every completion or
-//!   failure retires the attempt's timeout gate. Its `cancelled` column
-//!   is the generation-counter protocol's visible footprint.
+//!   failure leaves a dead timeout entry. Its `cancelled` column counts
+//!   the dead entries dropped off the calendar's head at settle time.
 //! * **churned** — the churned scenario under a hot stochastic churn
 //!   model (every server failing about every two minutes) with the full
 //!   resilience bundle (hedging, breakers, shedding): the worst case
-//!   for the two new event classes, with Churn and Hedges gates arming
-//!   and cancelling continuously.
+//!   for the incident queue and the hedge calendar, both refilled and
+//!   drained continuously.
 //!
 //! All modes are bit-for-bit identical simulations (pinned by
 //! tests/wheel_equivalence.rs and tests/wheel_cancellation.rs), so this
 //! is a pure cost comparison. *Before* is the seed's dense loop — every
 //! source polled, every agent ticked, every step (`always_poll` +
-//! `always_tick`); *after* is the event-indexed default (wheel-gated
+//! `always_tick`); *after* is the event-indexed default (due-time gated
 //! drains over the active set). Alongside the table and CSV, a
 //! machine-readable `results/BENCH_step_loop.json` records wall-ms per
 //! simulated second for both loops per scenario × executor.
 //!
 //! A second table covers the **sharded engine** (one shard per DC with
-//! conservative WAN lookahead, DESIGN.md §4.6): serial wheel-mode vs
+//! conservative WAN lookahead, DESIGN.md §4.6): serial gated mode vs
 //! `ShardedSimulation` at several shard × worker combinations, with the
 //! cross-shard mailbox volume alongside. Those rows land in the
 //! `"sharded"` key of `results/BENCH_step_loop.json` and in
@@ -53,12 +54,13 @@
 //! `results/BENCH_step_loop_optrace.csv`.
 //!
 //! `--check` runs the CI smoke assertions instead of the timed
-//! benchmark: stale-gate no-op drains on the consolidated run must stay
-//! within 10% of their pre-cancellation baseline, Scatter-Gather's
-//! indexed dispatch must stay range-batched (not one item per agent),
-//! the fault-plan churn scenario must actually cancel gates, the
+//! benchmark: no-op drains (woken by a stale due event) on the
+//! consolidated run must stay within 10% of the 2902 measured before
+//! dead deadlines were dropped at settle time, Scatter-Gather's indexed
+//! dispatch must stay range-batched (not one item per agent), the
+//! fault-plan churn scenario must actually drop dead deadlines, the
 //! stochastic churn run must apply incidents while keeping its Churn
-//! drains wheel-gated, and the sharded consolidated run must exchange
+//! drains gated, and the sharded consolidated run must exchange
 //! mailbox traffic with **zero** ordering violations (sequence gaps).
 //! On hosts with at least 4 cores the sharded run must also beat the
 //! serial engine by ≥ 1.5×; on smaller hosts the measured ratio is
@@ -85,15 +87,16 @@ use std::time::Instant;
 /// loop's per-step source sweep is the dominant phase-1 cost.
 const SPARSE_SOURCES: u64 = 1024;
 
-/// CI budget for stale-gate no-op drains on the consolidated 30 sim-s
-/// run: 10% of the pre-cancellation baseline of 2902 (the PR 5
-/// measurement that motivated generation-counter cancellation).
+/// CI budget for no-op drains on the consolidated 30 sim-s run: 10% of
+/// the 2902 measured before settled attempts' dead deadlines were
+/// dropped at settle time.
 const NOOP_BUDGET: u64 = 290;
 
 /// An idle-heavy lab: many long-interval series on the small validation
 /// topology. With 30–90 s intervals against a 10 ms step, far fewer
 /// than 1% of steps launch anything — but the polling loop still sweeps
-/// every source every step, while the wheel visits only due ones.
+/// every source every step, while the gated loop scans only when a
+/// launch is due.
 fn build_sparse(seed: u64) -> Simulation {
     let spec = validation::downscaled_topology();
     let infra = Infrastructure::build(&spec, seed).expect("valid downscaled topology");
@@ -215,7 +218,7 @@ const CASES: [Case; 4] = [
     },
 ];
 
-/// Wheel-gating profile of one run: how phase 1 actually spent its
+/// Drain-gating profile of one run: how phase 1 actually spent its
 /// drain opportunities, plus mean active-set occupancy. Collected from
 /// a dedicated profiled run (serial, un-timed) so the timed reps stay
 /// instrumentation-free; drain counts are executor-independent because
@@ -261,7 +264,7 @@ fn gating_stats(build: fn(u64) -> Simulation, horizon_secs: u64, poll: bool) -> 
 /// `dense` selects the *before* loop: every phase-1 source polled and
 /// every agent ticked every step (`always_poll` + `always_tick`, the
 /// seed loop all the event-indexed machinery replaced). The *after*
-/// loop is the default: wheel-gated drains over the active set.
+/// loop is the default: due-time gated drains over the active set.
 fn measure(
     build: fn(u64) -> Simulation,
     executor: &Executor,
@@ -285,7 +288,7 @@ fn measure(
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Best-of-reps wall ms for one serial wheel-mode run through the
+/// Best-of-reps wall ms for one serial gated-mode run through the
 /// CLI's *robust driver loop*: chunked `run_until` under panic
 /// supervision, with the paranoid auditor and periodic atomic
 /// checkpoint writes individually toggled. With both features off this
@@ -331,7 +334,7 @@ fn measure_robust(
     best
 }
 
-/// Best-of-reps wall ms for one serial wheel-mode run with causal
+/// Best-of-reps wall ms for one serial gated-mode run with causal
 /// operation tracing enabled at `rate` (`None` leaves it off — the
 /// untraced baseline). The sampler decides once per operation at
 /// launch, so a low rate skips the span bookkeeping for almost every
@@ -406,10 +409,10 @@ const SHARDED_CASES: [ShardedCase; 4] = [
 
 /// CI smoke assertions (`--check`): fast, deterministic, no timing.
 fn check() {
-    // 1. Stale-gate no-op drains on the consolidated run must stay
-    //    ≤ 10% of the pre-cancellation baseline (2902). Polled site
-    //    visits count as work units, so what remains in `noop` is
-    //    genuinely stale gates — the quantity cancellation eliminates.
+    // 1. No-op drains on the consolidated run must stay ≤ 10% of the
+    //    2902 measured before dead deadlines were dropped at settle
+    //    time. Polled site visits count as work units, so what remains
+    //    in `noop` is drains woken only by stale due events.
     let g = gating_stats(consolidated::build, 30, false);
     println!(
         "check: consolidated 30 sim-s: noop={} (budget {NOOP_BUDGET}), cancelled={}",
@@ -422,7 +425,7 @@ fn check() {
     );
 
     // 2. Scatter-Gather's indexed dispatch must stay range-batched: the
-    //    mean items-per-phase over a wheel-gated sparse run tracks the
+    //    mean items-per-phase over a gated sparse run tracks the
     //    number of index *ranges*, not the number of active agents
     //    (mean active set ≈ 4.5 would show through as ≈ 4.5 items per
     //    phase under per-agent dispatch).
@@ -441,19 +444,19 @@ fn check() {
         "SG indexed dispatch regressed toward one item per agent: {per_phase:.2} items/phase"
     );
 
-    // 3. The churn scenario must exercise the cancellation protocol —
+    // 3. The churn scenario must leave dead deadlines to drop —
     //    otherwise the noop budget above is checking a vacuum.
     let g = gating_stats(build_churn, 90, false);
     println!(
         "check: faulted-churn 90 sim-s: cancelled={}, noop={}",
         g.cancelled, g.noop
     );
-    assert!(g.cancelled > 0, "churn run cancelled no gates");
+    assert!(g.cancelled > 0, "churn run dropped no dead deadlines");
 
     // 4. The stochastic churn run must actually apply incidents, and
-    //    its Churn drain class must stay wheel-gated: far more steps
-    //    skip the class than drain it (the queue never drains dry, so
-    //    the wheel knows the next transition exactly).
+    //    its Churn drain class must stay gated: far more steps skip the
+    //    class than drain it (the queue never drains dry, so its head
+    //    is the next transition exactly).
     let mut sim = build_churned(42);
     sim.enable_profiler(0);
     sim.run_until(SimTime::from_secs(120));
@@ -472,7 +475,7 @@ fn check() {
     assert!(d.gated > 0, "no Incidents drain was ever gated");
     assert!(
         d.skipped > d.gated,
-        "Incidents class is not wheel-gated: {} skipped vs {} gated",
+        "Incidents class is not gated: {} skipped vs {} gated",
         d.skipped,
         d.gated
     );
@@ -623,7 +626,7 @@ fn main() {
         }
     }
 
-    // Sharded engine: serial wheel-mode vs whole-window parallelism.
+    // Sharded engine: serial gated mode vs whole-window parallelism.
     // The serial baseline is re-measured here (not taken from the rows
     // above) so both sides of each ratio come from the same machine
     // state.
@@ -750,7 +753,7 @@ fn main() {
     }
 
     print_table(
-        "Step loop: dense poll+tick (before) vs wheel+active-set (after), wall ms per sim s",
+        "Step loop: dense poll+tick (before) vs gated+active-set (after), wall ms per sim s",
         &["scenario", "executor", "before", "after", "speedup"],
         &rows,
     );
@@ -775,14 +778,14 @@ fn main() {
         &optrace_rows,
     );
     print_table(
-        "Sharded engine: serial wheel-mode vs shard windows, wall ms per sim s",
+        "Sharded engine: serial gated mode vs shard windows, wall ms per sim s",
         &[
             "scenario", "shards", "window", "serial", "sharded", "speedup", "mail", "seq-gaps",
         ],
         &sharded_rows,
     );
     print_table(
-        "Wheel gating (wheel mode): drain opportunities by outcome",
+        "Drain gating (gated mode): drain opportunities by outcome",
         &[
             "scenario",
             "skipped",

@@ -13,9 +13,9 @@
 //! * **Active-set completeness** — every agent with queued or in-service
 //!   work is an active-set member (skipped under the always-tick loop,
 //!   which has no active set).
-//! * **Wheel-gate existence** — for every event class with a pending
-//!   canonical event, the timer wheel holds a live gate at or before that
-//!   event's tick (skipped under always-poll, which has no wheel).
+//! * **Due-time freshness** — a derived next-due time (the cached next
+//!   periodic-series launch) is at or before the earliest pending event
+//!   a fresh scan of its sources finds, so its drain never runs late.
 //! * **Mailbox continuity** — no shard observed an out-of-order window
 //!   envelope.
 //!
@@ -59,12 +59,12 @@ pub enum InvariantViolation {
         /// Agent index.
         agent: u32,
     },
-    /// An event class has a pending canonical event but no live wheel
-    /// gate at or before its tick — the drain would run late.
-    MissingWheelGate {
+    /// An event class's derived next-due time is later than its earliest
+    /// pending event — the drain would run late.
+    LateNextDue {
         /// Simulation time of the audit.
         at: SimTime,
-        /// Event-class label (see [`crate::wheel::EventClass`]).
+        /// Event-class label (see [`crate::EventClass`]).
         class: String,
         /// Tick the earliest canonical event fires at.
         head_tick: u64,
@@ -110,14 +110,14 @@ impl fmt::Display for InvariantViolation {
                  active set",
                 at.as_secs_f64()
             ),
-            InvariantViolation::MissingWheelGate {
+            InvariantViolation::LateNextDue {
                 at,
                 class,
                 head_tick,
             } => write!(
                 f,
-                "t={}s: class {class} has a canonical event at tick \
-                 {head_tick} but no live wheel gate at or before it",
+                "t={}s: class {class} has an event due at tick \
+                 {head_tick} but its next-due time is later",
                 at.as_secs_f64()
             ),
             InvariantViolation::MailboxSeqGap { at, shard, gaps } => write!(
@@ -225,7 +225,7 @@ gdisim_snap::snap_enum!(InvariantViolation {
     0 => TokenWithoutInstance { at, token, instance },
     1 => MemHoldImbalance { at, memory, held_bytes, metered_bytes },
     2 => InactiveAgentWithWork { at, agent },
-    3 => MissingWheelGate { at, class, head_tick },
+    3 => LateNextDue { at, class, head_tick },
     4 => MailboxSeqGap { at, shard, gaps },
 });
 gdisim_snap::snap_struct!(AuditState {

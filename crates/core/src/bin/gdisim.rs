@@ -412,8 +412,8 @@ fn print_usage() {
          seed and installed fault/churn/resilience state all\n                          \
          come from the checkpoint\n  \
          --paranoid             audit conservation invariants (token linkage,\n                          \
-         memory-hold balance, active-set completeness, wheel\n                          \
-         gates, mailbox ordering) at every measurement\n                          \
+         memory-hold balance, active-set completeness, due\n                          \
+         times, mailbox ordering) at every measurement\n                          \
          collection; violations exit non-zero\n\n\
          OBSERVABILITY (run subcommand):\n  \
          --profile-json PATH   step-loop profile + metrics registry snapshot (JSON)\n  \
@@ -924,9 +924,10 @@ fn run_engine(
     let (report, executor, layout, extra) = match &engine {
         Engine::Serial(sim) => {
             // With the profiler on (always the case with
-            // `--bench-json`), the wheel-gating stats ride along so a
-            // bench row also answers "how much work did the timer wheel
-            // actually skip".
+            // `--bench-json`), the drain stats ride along so a bench row
+            // also answers "how many phase-1 drains did due times skip".
+            // `cancelled_gates` counts dead calendar entries dropped at
+            // settle time.
             let gating = sim.step_profile().map(|p| {
                 let (mut skipped, mut gated, mut polled, mut noop, mut cancelled) =
                     (0u64, 0u64, 0u64, 0u64, 0u64);

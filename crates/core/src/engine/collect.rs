@@ -2,9 +2,9 @@
 //! collection boundary, the metrics registry, human-readable labels for
 //! exports, and the `--paranoid` invariant audit that runs first.
 
-use super::{Simulation, TrafficSource, BG_APP, BG_OP_INDEXBUILD, BG_OP_SYNCHREP};
+use super::{launch, Simulation, BG_APP, BG_OP_INDEXBUILD, BG_OP_SYNCHREP};
+use crate::observe::EventClass;
 use crate::report::ChurnComponentRecord;
-use crate::wheel::EventClass;
 use gdisim_infra::ComponentKind;
 use gdisim_metrics::MetricsRegistry;
 use gdisim_queueing::Station;
@@ -141,59 +141,17 @@ impl Simulation {
             }
         }
 
-        // Wheel gates: every class with a pending canonical event must
-        // hold a live gate at or before that event's tick, or its drain
-        // would run late. Mirrors `prime_wheel`'s head enumeration.
-        if let Some(w) = &self.wheel {
-            let dt_us = self.config.dt.as_micros();
-            let series = (self.polled_sources == 0)
-                .then(|| {
-                    self.traffic
-                        .iter()
-                        .filter_map(TrafficSource::series_next)
-                        .min()
-                })
-                .flatten();
-            let heads = [
-                (
-                    EventClass::Incidents,
-                    self.incidents.first().map(|e| e.at_us),
-                ),
-                (
-                    EventClass::Hedges,
-                    self.resilience.as_ref().and_then(|r| r.hedges.head_us()),
-                ),
-                (
-                    EventClass::Retries,
-                    self.faults
-                        .as_ref()
-                        .and_then(|f| f.pending_retries.iter().map(|r| r.at).min())
-                        .map(SimTime::as_micros),
-                ),
-                (
-                    EventClass::Timeouts,
-                    self.faults.as_ref().and_then(|f| f.timeouts.head_us()),
-                ),
-                (EventClass::SessionWakes, self.session_wakes.head_us()),
-                (EventClass::Series, series.map(SimTime::as_micros)),
-                (
-                    EventClass::Background,
-                    self.background
-                        .as_ref()
-                        .and_then(|s| s.next_due())
-                        .map(SimTime::as_micros),
-                ),
-            ];
-            for (class, head_us) in heads {
-                let Some(head_us) = head_us else { continue };
-                let head_tick = head_us.div_ceil(dt_us);
-                if w.earliest_live(class).is_none_or(|g| g > head_tick) {
-                    audit.record(V::MissingWheelGate {
-                        at,
-                        class: class.label().to_string(),
-                        head_tick,
-                    });
-                }
+        // Derived due times: every class but series reads its next due
+        // time straight off its container's head, but the series time is
+        // a cached minimum over the series cursors. It must not be later
+        // than a fresh scan of them, or the series drain would run late.
+        if let Some(head) = launch::series_horizon(&self.traffic) {
+            if self.next_series.is_none_or(|t| t > head) {
+                audit.record(V::LateNextDue {
+                    at,
+                    class: EventClass::Series.label().to_string(),
+                    head_tick: head.as_micros().div_ceil(self.config.dt.as_micros()),
+                });
             }
         }
 
@@ -202,7 +160,7 @@ impl Simulation {
     pub(super) fn collect(&mut self, t: SimTime) {
         // Paranoid invariant audit first, against the pre-collection
         // state (collection resets the utilization meters; the audited
-        // quantities — flight table, holds, active set, gates — are
+        // quantities — flight table, holds, active set, due times — are
         // untouched either way).
         if let Some(mut obs) = self.obs.take() {
             if let Some(audit) = &mut obs.audit {

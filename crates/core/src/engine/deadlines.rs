@@ -1,7 +1,8 @@
 //! The one calendar behind every per-id deadline the engine arms: the
 //! per-attempt client timeouts, the hedge timers and the session wakes.
+//! Its head is the class's next due time: the step loop runs a drain
+//! only once the head has come.
 
-use crate::wheel::{EventClass, TimerWheel};
 use gdisim_types::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -9,7 +10,7 @@ use std::collections::BinaryHeap;
 /// A min-heap of `(deadline µs, id)` entries, lazily invalidated: an
 /// entry whose id is no longer live (its instance settled, its session
 /// logged out) stays put until it reaches the head, where the due drain
-/// or a stale-gate sweep discards it.
+/// or a settle's [`Deadlines::drop_dead_prefix`] discards it.
 #[derive(Clone, Default)]
 pub(super) struct Deadlines(BinaryHeap<Reverse<(u64, u64)>>);
 
@@ -17,10 +18,6 @@ impl Deadlines {
     /// Arms `id`'s deadline at `at`.
     pub(super) fn push(&mut self, at: SimTime, id: u64) {
         self.0.push(Reverse((at.as_micros(), id)));
-    }
-
-    pub(super) fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// The earliest deadline, live or not, in µs.
@@ -41,37 +38,19 @@ impl Deadlines {
         }
     }
 
-    /// Gates every entry, live or not, under `class` (wheel priming).
-    pub(super) fn arm_all(&self, w: &mut TimerWheel, class: EventClass) {
-        for &Reverse((t_us, _)) in self.0.iter() {
-            w.schedule_at_micros(class, t_us);
-        }
-    }
-
-    /// Re-arms `class` at the head, when there is one.
-    pub(super) fn arm_head(&self, w: &mut TimerWheel, class: EventClass) {
-        if let Some(t_us) = self.head_us() {
-            w.schedule_at_micros(class, t_us);
-        }
-    }
-
-    /// Drops the dead prefix (entries whose id fails `live`), retires
-    /// every outstanding gate of `class` and re-arms at the surviving
-    /// head.
-    pub(super) fn retire_stale_gates(
-        &mut self,
-        w: &mut TimerWheel,
-        class: EventClass,
-        live: impl Fn(u64) -> bool,
-    ) {
+    /// Drops the dead prefix — head entries whose id fails `live` — so
+    /// the head is a live deadline again (or the heap is empty). Returns
+    /// how many entries were dropped.
+    pub(super) fn drop_dead_prefix(&mut self, live: impl Fn(u64) -> bool) -> u64 {
+        let mut dropped = 0;
         while let Some(&Reverse((_, id))) = self.0.peek() {
             if live(id) {
                 break;
             }
             self.0.pop();
+            dropped += 1;
         }
-        w.cancel_class(class);
-        self.arm_head(w, class);
+        dropped
     }
 }
 
@@ -103,6 +82,19 @@ mod tests {
     }
 
     #[test]
+    fn drops_only_the_dead_prefix() {
+        let mut d = Deadlines::default();
+        for (secs, id) in [(1, 1), (2, 2), (3, 3), (4, 4)] {
+            d.push(SimTime::from_secs(secs), id);
+        }
+        // 1 and 2 are dead and at the head; 4 is dead behind a live 3.
+        assert_eq!(d.drop_dead_prefix(|id| id == 3), 2);
+        assert_eq!(d.head_us(), Some(3_000_000));
+        assert_eq!(d.drop_dead_prefix(|_| false), 2);
+        assert_eq!(d.head_us(), None);
+    }
+
+    #[test]
     fn encodes_as_the_wrapped_heap() {
         let mut d = Deadlines::default();
         d.push(SimTime::from_secs(2), 4);
@@ -110,5 +102,33 @@ mod tests {
         assert_eq!(gdisim_snap::to_bytes(&d), gdisim_snap::to_bytes(&d.0));
         let back: Deadlines = gdisim_snap::from_bytes(&gdisim_snap::to_bytes(&d)).unwrap();
         assert_eq!(back.head_us(), Some(1_000_000));
+    }
+
+    /// A settle drops its attempt's dead timeout entry in the same step,
+    /// and the profiler counts the drop then, so the count is exact even
+    /// when the settling step is the run's last.
+    #[test]
+    fn profiler_counts_drops_made_by_the_final_step() {
+        use crate::observe::EventClass;
+        use crate::scenarios::faulted;
+        let mut sim = faulted::build(42);
+        sim.set_fault_plan(faulted::demo_fault_plan())
+            .expect("demo plan fits the faulted topology");
+        sim.enable_profiler(0);
+        // Stop right after the step that settles the first operation.
+        while sim.report().responses.total_recorded() == 0 {
+            sim.step();
+        }
+        let cancelled = sim
+            .profiler()
+            .expect("profiler enabled")
+            .drain_stats(EventClass::Timeouts.index())
+            .cancelled;
+        assert!(cancelled > 0, "the final step's drop went uncounted");
+        // No 300 s timeout expires this early, so every attempt's entry
+        // is either still pending or was dropped and counted.
+        let pending = sim.faults.as_ref().expect("fault runtime").timeouts.0.len();
+        let launched = sim.active_operations() as u64 + sim.report().responses.total_recorded();
+        assert_eq!(cancelled + pending as u64, launched);
     }
 }

@@ -11,7 +11,6 @@ use crate::flight::InstanceKind;
 use crate::observe::Event;
 use crate::report::HealthEventError;
 use crate::trace::TraceEvent;
-use crate::wheel::EventClass;
 use gdisim_queueing::{JobToken, SplitMix64};
 use gdisim_types::SimTime;
 use gdisim_workload::RetryPolicy;
@@ -197,15 +196,12 @@ impl Simulation {
         self.push_incident(at.as_micros(), source, seq);
     }
 
-    /// Inserts an incident in key order and arms its gate.
+    /// Inserts an incident in key order.
     fn push_incident(&mut self, at_us: u64, source: IncidentSource, seq: u32) {
         let incident = Incident { at_us, source, seq };
         let key = incident.key();
         let i = self.incidents.partition_point(|e| e.key() < key);
         self.incidents.insert(i, incident);
-        if let Some(w) = &mut self.wheel {
-            w.schedule_at_micros(EventClass::Incidents, at_us);
-        }
     }
 
     /// Whether `target` names something in the topology; the error
@@ -408,10 +404,6 @@ impl Simulation {
                     }
                 }
             }
-        }
-        if self.incidents.is_empty() {
-            // Nothing left to apply: any outstanding gate is stale.
-            self.cancel_empty_class(EventClass::Incidents);
         }
         n
     }

@@ -6,7 +6,6 @@ use super::{Simulation, BG_APP, BG_OP_INDEXBUILD, BG_OP_SYNCHREP};
 use crate::config::MasterPolicy;
 use crate::flight::{Chain, Instance, InstanceKind};
 use crate::observe::Event;
-use crate::wheel::EventClass;
 use gdisim_background::{BackgroundKind, BackgroundLaunch};
 use gdisim_metrics::ResponseKey;
 use gdisim_types::{AppId, OpTypeId, SimDuration, SimTime};
@@ -93,19 +92,20 @@ pub enum TrafficSource {
     },
 }
 
-impl TrafficSource {
-    /// A periodic series' next launch while it has launches left;
-    /// `None` for every other source.
-    pub(super) fn series_next(&self) -> Option<SimTime> {
-        match self {
+/// The earliest pending periodic-series launch over `traffic`: the
+/// least `next` of a series still short of its `stop_at`.
+pub(super) fn series_horizon(traffic: &[TrafficSource]) -> Option<SimTime> {
+    traffic
+        .iter()
+        .filter_map(|source| match source {
             TrafficSource::PeriodicSeries { next, stop_at, .. }
                 if stop_at.is_none_or(|s| *next < s) =>
             {
                 Some(*next)
             }
             _ => None,
-        }
-    }
+        })
+        .min()
 }
 
 impl Simulation {
@@ -116,11 +116,14 @@ impl Simulation {
     /// consume sampler state and do real work even when they produce no
     /// arrival. Counting the visits keeps a polled scan from ever
     /// registering as a no-op drain, so the profiler's `noop` column
-    /// isolates what it is meant to measure: *stale gates*, drains woken
-    /// by the wheel for events that no longer exist.
+    /// isolates what it is meant to measure: drains woken by a due time
+    /// whose events no longer exist.
     pub(super) fn generate_arrivals(&mut self, now: SimTime, series_due: bool) -> u64 {
         let dt_secs = self.config.dt.as_secs_f64();
         let mut produced = 0u64;
+        // The least pending series launch seen by this scan, in µs
+        // (`u64::MAX`: none).
+        let mut horizon_us = u64::MAX;
         let mut traffic = std::mem::take(&mut self.traffic);
         for (source_idx, source) in traffic.iter_mut().enumerate() {
             match source {
@@ -175,11 +178,10 @@ impl Simulation {
                     stop_at,
                 } => {
                     if !series_due {
-                        // No series reached its tick (wheel-gated); the
-                        // polling loop's `next <= now` would fail too.
+                        // No series launch is due; the `next <= now`
+                        // test below would fail for every series too.
                         continue;
                     }
-                    let armed_at = *next;
                     while *next <= now && stop_at.is_none_or(|s| *next < s) {
                         let binding = self.client_binding(*site);
                         let dc = self.site_dc[*site];
@@ -208,17 +210,17 @@ impl Simulation {
                         produced += 1;
                         *next += *interval;
                     }
-                    // Re-arm the gate for this source's next launch —
-                    // but only when `next` advanced: a source that did
-                    // not fire still has its earlier gate registered,
-                    // and re-inserting it every due step would flood the
-                    // wheel with duplicates.
-                    if *next != armed_at && stop_at.is_none_or(|s| *next < s) {
-                        let at = *next;
-                        self.gate(EventClass::Series, at);
+                    // The scan visits every series, so it re-derives the
+                    // earliest pending launch on the way (as
+                    // `series_horizon` does).
+                    if stop_at.is_none_or(|s| *next < s) {
+                        horizon_us = horizon_us.min(next.as_micros());
                     }
                 }
             }
+        }
+        if series_due {
+            self.next_series = (horizon_us != u64::MAX).then_some(SimTime(horizon_us));
         }
         self.traffic = traffic;
         produced
@@ -266,12 +268,6 @@ impl Simulation {
             return 0;
         };
         let launches = scheduler.poll(now);
-        // Re-arm the gate for the post-poll horizon (the poll may have
-        // advanced sync schedules and accrued index backlog).
-        let next = scheduler.next_due();
-        if let Some(next) = next {
-            self.gate(EventClass::Background, next);
-        }
         let n = launches.len() as u64;
         for launch in launches {
             self.launch_background(launch, now);
@@ -282,18 +278,6 @@ impl Simulation {
     /// Launches pending retries whose backoff has elapsed. Returns the
     /// number launched.
     pub(super) fn launch_due_retries(&mut self, now: SimTime) -> u64 {
-        if self
-            .faults
-            .as_ref()
-            .expect("fault runtime installed")
-            .pending_retries
-            .is_empty()
-        {
-            // Nothing pending: this drain ran on a stale gate (or a
-            // poll); retire whatever retry gates remain outstanding.
-            self.cancel_empty_class(EventClass::Retries);
-            return 0;
-        }
         let due: Vec<PendingRetry> = {
             let f = self.faults.as_mut().expect("fault runtime installed");
             let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut f.pending_retries)
@@ -316,15 +300,6 @@ impl Simulation {
                 Some((r.attempt, r.first_launched_at, r.trace_root)),
             );
         }
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.pending_retries.is_empty())
-        {
-            // Every pending retry launched (and launching queued no new
-            // ones), so the gates of the launched batch are now stale.
-            self.cancel_empty_class(EventClass::Retries);
-        }
         n
     }
 
@@ -332,9 +307,8 @@ impl Simulation {
     /// for operations that already completed (or already failed) are
     /// stale and skipped — instance ids are never reused, so liveness in
     /// the flight table is a sufficient check. Returns the number of
-    /// operations actually reaped: a gate that fired only for stale
-    /// entries counts as a no-op drain in the profiler, which is exactly
-    /// the "stale gates" quantity the ROADMAP asks for.
+    /// operations actually reaped: a drain woken only by stale entries
+    /// counts as a no-op in the profiler.
     pub(super) fn reap_timeouts(&mut self, now: SimTime) -> u64 {
         let mut due: Vec<u64> = Vec::new();
         let f = self.faults.as_mut().expect("fault runtime installed");
@@ -346,15 +320,6 @@ impl Simulation {
         let n = due.len() as u64;
         for id in due {
             self.fail_instance(id, "timeout", now);
-        }
-        // Re-arm at the surviving head. The popped batch may have been
-        // entirely dead entries (no `fail_instance` call re-arms then),
-        // and the survivors' insert-time gates may have been retired by
-        // an earlier generation cancel — without this, the head would
-        // only fire once some unrelated retirement re-armed the class
-        // (the invariant auditor's wheel-gate check pins this).
-        if let (Some(w), Some(f)) = (&mut self.wheel, &self.faults) {
-            f.timeouts.arm_head(w, EventClass::Timeouts);
         }
         n
     }
@@ -412,7 +377,7 @@ impl Simulation {
             };
             self.emit(now, ev);
             self.cancel_hedge_loser(inst_id, p, now);
-            self.retire_stale_deadline_gates();
+            self.drop_settled_deadlines();
             return;
         }
         let Some(inst) = self.flight.instances.remove(&inst_id) else {
@@ -431,7 +396,6 @@ impl Simulation {
             self.breaker_on_failure(inst.binding.client, inst.binding.master, now);
         }
         let mut will_retry = false;
-        let mut retry_at = None;
         if let Some(f) = &mut self.faults {
             f.interval_failed += 1;
             if inst.kind == InstanceKind::Client {
@@ -451,20 +415,15 @@ impl Simulation {
                             trace_root,
                         });
                         will_retry = true;
-                        retry_at = Some(at);
                     }
                 }
             }
         }
-        if let Some(at) = retry_at {
-            self.gate(EventClass::Retries, at);
-        }
         if inst.kind == InstanceKind::Client {
             // The failed attempt's timeout entry is dead (whether it
-            // expired or the instance was evicted before its deadline);
-            // retire stale gates and re-arm at the surviving head. Same
-            // for its hedge timer, when hedging is on.
-            self.retire_stale_deadline_gates();
+            // expired or the instance was evicted before its deadline),
+            // and so is its hedge timer, when hedging is on.
+            self.drop_settled_deadlines();
         }
         if will_retry {
             self.report.faults.retried_operations += 1;
@@ -544,7 +503,6 @@ impl Simulation {
         let delay = self.sampler.exponential(mean_think_secs).min(3600.0);
         let wake = now + SimDuration::from_secs_f64(delay);
         self.session_wakes.push(wake, session);
-        self.gate(EventClass::SessionWakes, wake);
     }
 
     fn launch_background(&mut self, launch: BackgroundLaunch, now: SimTime) {
@@ -654,14 +612,11 @@ impl Simulation {
             self.arm_timeout(id, now);
             // Arm the hedge timer when hedging is on: the twin launches
             // if this attempt has not settled by then.
-            let fire = self.resilience.as_mut().and_then(|r| {
-                let h = r.policies.hedge?;
-                let fire = now + SimDuration::from_secs_f64(h.delay_secs);
-                r.hedges.push(fire, id);
-                Some(fire)
-            });
-            if let Some(fire) = fire {
-                self.gate(EventClass::Hedges, fire);
+            if let Some(r) = self.resilience.as_mut() {
+                if let Some(h) = r.policies.hedge {
+                    r.hedges
+                        .push(now + SimDuration::from_secs_f64(h.delay_secs), id);
+                }
             }
         }
         self.start_stage(id, now);
@@ -669,14 +624,11 @@ impl Simulation {
 
     /// Arms client attempt `id`'s timeout when a retry policy is set.
     pub(super) fn arm_timeout(&mut self, id: u64, now: SimTime) {
-        let deadline = self.faults.as_mut().and_then(|f| {
-            let policy = f.retry?;
-            let deadline = now + SimDuration::from_secs_f64(policy.timeout_secs);
-            f.timeouts.push(deadline, id);
-            Some(deadline)
-        });
-        if let Some(deadline) = deadline {
-            self.gate(EventClass::Timeouts, deadline);
+        if let Some(f) = self.faults.as_mut() {
+            if let Some(policy) = f.retry {
+                f.timeouts
+                    .push(now + SimDuration::from_secs_f64(policy.timeout_secs), id);
+            }
         }
     }
 }

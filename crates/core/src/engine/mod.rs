@@ -33,9 +33,8 @@ pub use launch::TrafficSource;
 
 use crate::config::{MasterPolicy, SimulationConfig};
 use crate::flight::FlightTable;
-use crate::observe::{Event, Observers};
+use crate::observe::{Event, EventClass, Observers};
 use crate::report::Report;
-use crate::wheel::{EventClass, TimerWheel};
 use deadlines::Deadlines;
 use gdisim_background::BackgroundScheduler;
 use gdisim_infra::Infrastructure;
@@ -103,16 +102,18 @@ pub struct Simulation {
     /// Reusable buffer for the phase-3 completion drain.
     completed_scratch: Vec<(u32, u64)>,
     /// When set, every phase-1 source is polled every step (the seed
-    /// loop); otherwise the timer wheel gates each source class and a
-    /// drain only runs when an event actually reached its tick. Results
-    /// are bit-for-bit identical either way.
+    /// loop); otherwise a drain only runs once its class's next due time
+    /// ([`Self::next_due_us`]) has come. Results are bit-for-bit
+    /// identical either way.
     always_poll: bool,
-    /// The phase-1 gate wheel; primed lazily at the first step (once
-    /// `dt` is final) unless [`Self::set_always_poll`] disabled it.
-    wheel: Option<TimerWheel>,
-    /// Traffic sources that must be visited every step regardless of the
-    /// wheel (diurnal Poisson draws, session population tracking). When
-    /// zero, the traffic scan itself sits behind the series gate.
+    /// The earliest pending periodic-series launch, derived from the
+    /// series cursors and never serialized: set when a series source is
+    /// added, recomputed by every scan that launches, and rebuilt after
+    /// a restore or a site split.
+    next_series: Option<SimTime>,
+    /// Traffic sources that must be visited every step regardless of
+    /// due times (diurnal Poisson draws, session population tracking).
+    /// When zero, the traffic scan runs only when a series launch is due.
     polled_sources: usize,
     /// Stochastic churn runtime; `None` (or an empty model) leaves every
     /// step bit-identical to a churn-free run.
@@ -218,7 +219,7 @@ impl Simulation {
             active_scratch: Vec::new(),
             completed_scratch: Vec::new(),
             always_poll: false,
-            wheel: None,
+            next_series: None,
             polled_sources: 0,
             churn: None,
             resilience: None,
@@ -335,7 +336,7 @@ impl Simulation {
             next: first_launch,
             stop_at,
         });
-        self.gate(EventClass::Series, first_launch);
+        self.next_series = launch::series_horizon(&self.traffic);
         Ok(())
     }
 
@@ -457,11 +458,7 @@ impl Simulation {
 
     /// Installs the background-process scheduler.
     pub fn set_background(&mut self, scheduler: BackgroundScheduler) {
-        let next = scheduler.next_due();
         self.background = Some(scheduler);
-        if let Some(next) = next {
-            self.gate(EventClass::Background, next);
-        }
     }
 
     /// Switches the phase-execution strategy (serial / Scatter-Gather /
@@ -500,12 +497,11 @@ impl Simulation {
         self.tick_all = on;
     }
 
-    /// Forces per-step polling of every phase-1 source, disabling the
-    /// timer-wheel event index (see [`crate::wheel`]). Results are
-    /// bit-for-bit identical either way (the equivalence tests rely on
-    /// this switch); only wall time changes. Must be set before the run
-    /// starts — the wheel is primed from the pending schedules at the
-    /// first step and cannot be reconstructed mid-run.
+    /// Forces per-step polling of every phase-1 source, so every drain
+    /// runs every step instead of only once its class is due. Results
+    /// are bit-for-bit identical either way (the equivalence tests rely
+    /// on this switch); only wall time changes. Must be set before the
+    /// run starts, so a run's drain accounting has one meaning.
     pub fn set_always_poll(&mut self, on: bool) {
         assert_eq!(
             self.now,
@@ -513,9 +509,6 @@ impl Simulation {
             "cannot switch scheduling policy mid-run"
         );
         self.always_poll = on;
-        if on {
-            self.wheel = None;
-        }
     }
 
     /// Switches the invariant auditor (see [`crate::audit`]) on or off:
@@ -536,91 +529,67 @@ impl Simulation {
         self.obs.as_ref()?.audit()
     }
 
-    /// Registers a phase-1 event with the wheel, when one is active.
-    fn gate(&mut self, class: EventClass, at: SimTime) {
-        if let Some(w) = &mut self.wheel {
-            w.schedule(class, at);
+    /// When `class`'s next event is due, in µs: the head of its
+    /// canonical container (the incident queue, the retry list, the
+    /// hedge, timeout and session-wake calendars, the background
+    /// horizon) or, for series, the derived [`Self::next_series`].
+    /// `None` when nothing of the class is pending. Each drain's own pop
+    /// loop tests exactly `due <= now`, so running a drain only then
+    /// changes nothing but wall time.
+    #[inline]
+    fn next_due_us(&self, class: EventClass) -> Option<u64> {
+        match class {
+            EventClass::Incidents => self.incidents.first().map(|e| e.at_us),
+            EventClass::Retries => self
+                .faults
+                .as_ref()?
+                .pending_retries
+                .iter()
+                .map(|r| r.at.as_micros())
+                .min(),
+            EventClass::Hedges => self.resilience.as_ref()?.hedges.head_us(),
+            EventClass::Timeouts => self.faults.as_ref()?.timeouts.head_us(),
+            EventClass::SessionWakes => self.session_wakes.head_us(),
+            EventClass::Series => self.next_series.map(SimTime::as_micros),
+            EventClass::Background => self.background.as_ref()?.next_due().map(SimTime::as_micros),
         }
     }
 
-    /// Consumes the class's due gate. Without a wheel (polling mode, or
-    /// the priming step itself) every drain runs, as in the seed loop.
-    fn take_gate(&mut self, class: EventClass) -> bool {
-        match &mut self.wheel {
-            Some(w) => w.take(class),
-            None => true,
-        }
+    /// Whether `class`'s drain runs at `now`: always when polling,
+    /// otherwise once its next event is due.
+    #[inline]
+    fn is_due(&self, class: EventClass, now: SimTime) -> bool {
+        self.always_poll
+            || self
+                .next_due_us(class)
+                .is_some_and(|t| t <= now.as_micros())
     }
 
-    /// Invalidates every outstanding gate of `class` when its canonical
-    /// container just went empty. No re-arm is needed: with nothing left
-    /// to drain, every outstanding gate is provably stale (its drain
-    /// would be a no-op), and future events register fresh gates through
-    /// [`Self::gate`] at creation. A no-op in polling mode.
-    fn cancel_empty_class(&mut self, class: EventClass) {
-        if let Some(w) = &mut self.wheel {
-            w.cancel_class(class);
-        }
-    }
-
-    /// Retires stale [`EventClass::Timeouts`] and [`EventClass::Hedges`]
-    /// gates after a client instance left the flight table (completion
-    /// or failure): each armed calendar drops its dead prefix — entries
-    /// its due drain would skip — bumps the class generation so the dead
-    /// entries' gates never fire, and re-arms at the surviving head.
-    ///
-    /// Bit-identity is preserved by an inductive invariant: *a valid
-    /// gate always exists at or before the earliest live deadline's
-    /// tick.* Every launch arms its own deadline and hedge timer
-    /// ([`Self::launch`]), and every call here — made from both
-    /// [`Self::complete_instance`] and [`Self::fail_instance`], the only
-    /// two ways a client instance leaves the table — re-arms at the
-    /// post-removal head, which is at or before every live deadline.
-    /// Gates therefore still fire early-or-on-time, never late; the
-    /// cancelled ones would only have woken no-op drains.
-    fn retire_stale_deadline_gates(&mut self) {
-        let Some(w) = &mut self.wheel else { return };
+    /// Drops the dead prefix of the timeout and hedge calendars after a
+    /// client instance left the flight table (completion or failure),
+    /// counting the dropped entries with the profiler. The pop is what
+    /// a due drain would do to those entries anyway. Doing it at settle
+    /// time keeps a settled attempt at the head from waking a no-op
+    /// drain, and keeps the calendars' contents, and so checkpoint
+    /// bytes, the same as earlier releases wrote.
+    fn drop_settled_deadlines(&mut self) {
         let live = |id| self.flight.instances.contains_key(&id);
+        let mut dropped = [(EventClass::Timeouts, 0), (EventClass::Hedges, 0)];
         if let Some(f) = self.faults.as_mut().filter(|f| f.retry.is_some()) {
-            f.timeouts.retire_stale_gates(w, EventClass::Timeouts, live);
+            dropped[0].1 = f.timeouts.drop_dead_prefix(live);
         }
         if let Some(r) = self
             .resilience
             .as_mut()
             .filter(|r| r.policies.hedge.is_some())
         {
-            r.hedges.retire_stale_gates(w, EventClass::Hedges, live);
+            dropped[1].1 = r.hedges.drop_dead_prefix(live);
         }
-    }
-
-    /// Builds the wheel from everything already scheduled: incidents,
-    /// hedges, retries and timeouts, pending session wakes, series
-    /// launch times and the background horizon. Runs at the first step
-    /// so `dt` (and every pre-run `schedule_*`/`set_*` call) is final;
-    /// later insertions arm their gates at the point each event is
-    /// created.
-    fn prime_wheel(&mut self) {
-        let mut w = TimerWheel::new(self.config.dt);
-        for e in &self.incidents {
-            w.schedule_at_micros(EventClass::Incidents, e.at_us);
-        }
-        if let Some(r) = &self.resilience {
-            r.hedges.arm_all(&mut w, EventClass::Hedges);
-        }
-        if let Some(f) = &self.faults {
-            for r in &f.pending_retries {
-                w.schedule(EventClass::Retries, r.at);
+        for (class, count) in dropped {
+            if count > 0 {
+                self.emit(self.now, Event::Dropped { class, count });
             }
-            f.timeouts.arm_all(&mut w, EventClass::Timeouts);
         }
-        self.session_wakes.arm_all(&mut w, EventClass::SessionWakes);
-        for next in self.traffic.iter().filter_map(TrafficSource::series_next) {
-            w.schedule(EventClass::Series, next);
-        }
-        if let Some(next) = self.background.as_ref().and_then(|s| s.next_due()) {
-            w.schedule(EventClass::Background, next);
-        }
-        self.wheel = Some(w);
     }
 
     /// Current simulation time.
@@ -655,19 +624,18 @@ impl Simulation {
         }
     }
 
-    /// Runs `class`'s phase-1 drain when its gate is due (every step
-    /// without a wheel) and accounts it with the profiler: whether it
-    /// ran, whether the wheel (as opposed to polling) let it through,
-    /// and how many events it handled.
+    /// Runs `class`'s phase-1 drain when it is due (every step when
+    /// polling) and accounts it with the profiler: whether it ran,
+    /// whether its due time (as opposed to polling) let it through, and
+    /// how many events it handled.
     #[inline]
     fn drain(&mut self, class: EventClass, now: SimTime, run: fn(&mut Self, SimTime) -> u64) {
-        let gated = self.wheel.is_some();
-        let ran = self.take_gate(class);
+        let ran = self.is_due(class, now);
         let processed = if ran { run(self, now) } else { 0 };
         let ev = Event::Drain {
             class,
             ran,
-            gated,
+            gated: !self.always_poll,
             processed,
         };
         self.emit(now, ev);
@@ -697,26 +665,9 @@ impl Simulation {
         // routing tables; retries launch before timeouts are reaped so
         // a zero-backoff retry still waits one full tick.
         //
-        // On the event-indexed path each drain sits behind its wheel
-        // gate and only runs when an event reached its tick; a skipped
-        // drain is provably a no-op (and draws no randomness), so the
-        // gated loop is bit-for-bit identical to polling every source.
-        if !self.always_poll && self.wheel.is_none() {
-            self.prime_wheel();
-        }
-        if let Some(w) = &mut self.wheel {
-            w.advance_to(now.as_micros() / dt.as_micros());
-        }
-        // Report newly observed gate cancellations (generation-retired
-        // stale bits, counted monotonically by the wheel) as per-class
-        // deltas. Lags the cancellation itself by at most one step, and
-        // cancellations after the final step's snapshot go unreported —
-        // an observational counter, not simulation state.
-        if let (Some(w), Some(o)) = (&self.wheel, self.obs.as_deref_mut()) {
-            o.emit(now, Event::GatesCancelled(&w.cancelled_counts()));
-        }
-        // Whether a drain that runs this step runs because its gate
-        // fired (wheel active) or because every source is polled.
+        // Each drain runs only once its class's next event is due; a
+        // skipped drain is provably a no-op (and draws no randomness),
+        // so the loop is bit-for-bit identical to polling every source.
         self.drain(EventClass::Incidents, now, Self::apply_incidents);
         if self.faults.is_some() {
             self.drain(EventClass::Retries, now, Self::launch_due_retries);
@@ -739,8 +690,8 @@ impl Simulation {
         // draws and population-target checks share the arrival sampler's
         // stream), so the traffic scan runs whenever any exist; a pure
         // periodic-series workload is scanned only when a launch is due.
-        let gated = self.wheel.is_some() && self.polled_sources == 0;
-        let series_due = self.take_gate(EventClass::Series);
+        let gated = !self.always_poll && self.polled_sources == 0;
+        let series_due = self.is_due(EventClass::Series, now);
         let ran = self.polled_sources > 0 || series_due;
         let processed = if ran {
             self.generate_arrivals(now, series_due)
@@ -850,11 +801,8 @@ impl Simulation {
 // Checkpoint support. Each runtime struct's impl sits beside it in its
 // seam's module; the field order below is the format. Three members are deliberately not serialized:
 //
-// * `wheel` — the timer wheel is a pure scheduling index over the
-//   canonical containers (incident queue, pending retries, timeout and
-//   hedge calendars, session wakes, series cursors, background horizon); a restored
-//   engine starts with `wheel = None` and re-primes it lazily at its
-//   next step, which drains exactly what a polled run would.
+// * `next_series` — derived from the series cursors, and rebuilt from
+//   them on load.
 // * the observer set beyond the trace log and the auditor — the
 //   profiler is wall-clock observation and the span recorder is never
 //   serialized (a resumed run starts with an empty recorder); the trace
@@ -931,7 +879,7 @@ impl gdisim_snap::Snap for Simulation {
             active_scratch: Vec::new(),
             completed_scratch: Vec::new(),
             always_poll: gdisim_snap::Snap::load(r)?,
-            wheel: None,
+            next_series: None,
             polled_sources: gdisim_snap::Snap::load(r)?,
             churn: gdisim_snap::Snap::load(r)?,
             resilience: gdisim_snap::Snap::load(r)?,
@@ -943,6 +891,61 @@ impl gdisim_snap::Snap for Simulation {
         if let Some(audit) = gdisim_snap::Snap::load(r)? {
             sim.observers_mut().audit = Some(audit);
         }
+        sim.next_series = launch::series_horizon(&sim.traffic);
         Ok(sim)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{FaultAction, FaultTarget};
+    use crate::scenarios::{faulted, validation};
+    use gdisim_types::SimDuration;
+
+    fn incident_drains(sim: &Simulation) -> gdisim_obs::DrainStats {
+        sim.profiler()
+            .expect("profiler enabled")
+            .drain_stats(EventClass::Incidents.index())
+    }
+
+    /// An event between step boundaries is drained at the first step
+    /// whose `now` reaches it, exactly once; one due at time zero is
+    /// drained by the very first step.
+    #[test]
+    fn a_drain_runs_at_the_first_step_its_head_is_due() {
+        let mut sim = faulted::build(7);
+        let dt = sim.dt();
+        let link = || FaultTarget::WanLink {
+            label: faulted::PRIMARY_LINK.into(),
+        };
+        sim.schedule_health(link(), FaultAction::Fail, SimTime::ZERO);
+        // Two and a half steps in: first seen by the step at now = 3 dt.
+        let off_boundary = SimTime::ZERO + dt * 2 + dt / 2;
+        sim.schedule_health(link(), FaultAction::Recover, off_boundary);
+        sim.enable_profiler(0);
+        let ran = |sim: &Simulation| incident_drains(sim).gated;
+        sim.step();
+        assert_eq!(ran(&sim), 1, "a time-zero event waits for no step");
+        sim.step();
+        sim.step();
+        assert_eq!(ran(&sim), 1, "drained before its time");
+        sim.step();
+        assert_eq!(ran(&sim), 2, "not drained at the first step past its time");
+        sim.run_until(SimTime::ZERO + dt * 20);
+        let d = incident_drains(&sim);
+        assert_eq!((d.gated, d.skipped, d.noop), (2, 18, 0));
+    }
+
+    /// The derived next-series time is not serialized; a restored engine
+    /// rebuilds it from the series cursors.
+    #[test]
+    fn next_series_is_rebuilt_on_restore() {
+        let mut sim = validation::build(validation::EXPERIMENTS[0], 7);
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(40));
+        assert!(sim.next_series.is_some_and(|t| t > sim.now()));
+        let back: Simulation =
+            gdisim_snap::from_bytes(&gdisim_snap::to_bytes(&sim)).expect("round trip");
+        assert_eq!(back.next_series, sim.next_series);
     }
 }

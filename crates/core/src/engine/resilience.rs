@@ -4,7 +4,6 @@
 use super::{Deadlines, Simulation};
 use crate::flight::{Instance, InstanceKind};
 use crate::observe::Event;
-use crate::wheel::EventClass;
 use gdisim_types::{DcId, SimDuration, SimTime};
 use gdisim_workload::ResiliencePolicies;
 use std::collections::HashMap;
@@ -64,18 +63,6 @@ impl Simulation {
     /// Issues hedge twins for client attempts whose hedge delay elapsed
     /// without a settle. Returns the number of twins launched.
     pub(super) fn launch_due_hedges(&mut self, now: SimTime) -> u64 {
-        if self
-            .resilience
-            .as_ref()
-            .expect("resilience runtime installed")
-            .hedges
-            .is_empty()
-        {
-            // Nothing armed: this drain ran on a stale gate (or a
-            // poll); retire whatever hedge gates remain outstanding.
-            self.cancel_empty_class(EventClass::Hedges);
-            return 0;
-        }
         let mut due: Vec<u64> = Vec::new();
         let r = self
             .resilience
@@ -89,22 +76,6 @@ impl Simulation {
         let n = due.len() as u64;
         for id in due {
             self.launch_hedge_twin(id, now);
-        }
-        if self
-            .resilience
-            .as_ref()
-            .is_some_and(|r| r.hedges.is_empty())
-        {
-            // Every armed hedge fired (and twins arm no timers of their
-            // own), so the gates of the fired batch are now stale.
-            self.cancel_empty_class(EventClass::Hedges);
-        } else if let (Some(w), Some(r)) = (&mut self.wheel, &self.resilience) {
-            // Survivors remain: re-arm at the head. Its insert-time gate
-            // may have been retired by an earlier generation cancel, and
-            // waiting for the next instance retirement to re-arm would
-            // leave the head uncovered (the invariant auditor's
-            // wheel-gate check pins this).
-            r.hedges.arm_head(w, EventClass::Hedges);
         }
         n
     }

@@ -9,7 +9,6 @@ use crate::flight::InstanceKind;
 use crate::observe::Event;
 use crate::report::BackgroundRecord;
 use crate::router::compile_with;
-use crate::wheel::EventClass;
 use gdisim_background::BackgroundKind;
 use gdisim_queueing::{JobToken, Station};
 use gdisim_types::SimTime;
@@ -240,10 +239,10 @@ impl Simulation {
             InstanceKind::Client => {
                 self.breaker_on_success(inst.binding.client, inst.binding.master);
                 // The completed attempt's timeout and hedge entries are
-                // now dead; retire their gates (and any other stale
-                // ones) before the chain's next operation arms fresh
-                // ones.
-                self.retire_stale_deadline_gates();
+                // now dead; drop them (and any dead entries behind them)
+                // off the calendars' heads before the chain's next
+                // operation arms fresh ones.
+                self.drop_settled_deadlines();
                 let mut continued = false;
                 if let Some(mut chain) = inst.chain {
                     if !chain.remaining.is_empty() {
@@ -278,14 +277,8 @@ impl Simulation {
                     volume_bytes: inst.volume_bytes,
                 });
                 if kind == BackgroundKind::IndexBuild {
-                    let next = self.background.as_mut().and_then(|s| {
+                    if let Some(s) = self.background.as_mut() {
                         s.on_indexbuild_complete(master_site, now);
-                        s.next_due()
-                    });
-                    // A completion opens the next build's gap gate, which
-                    // can pull the background horizon closer — re-arm.
-                    if let Some(next) = next {
-                        self.gate(EventClass::Background, next);
                     }
                 }
             }

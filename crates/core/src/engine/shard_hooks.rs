@@ -281,7 +281,7 @@ impl Simulation {
 
     /// Restricts traffic generation to the sites whose engine index is
     /// flagged in `owned`, dropping sources left with no sites. Must run
-    /// before the first step (no sessions yet, wheel unprimed).
+    /// before the first step (no sessions yet).
     pub(crate) fn retain_sites(&mut self, owned: &[bool]) {
         debug_assert!(
             self.sessions.is_empty(),
@@ -315,6 +315,7 @@ impl Simulation {
             .iter()
             .filter(|s| !matches!(s, TrafficSource::PeriodicSeries { .. }))
             .count();
+        self.next_series = super::launch::series_horizon(&self.traffic);
     }
 
     /// Removes the background scheduler (shards other than 0 in a

@@ -16,15 +16,13 @@
 //! a run with an *empty* plan is bit-identical to a run with no plan at
 //! all.
 //!
-//! Timer-wheel interplay: the engine arms a wheel gate per fault event,
-//! per pending retry batch and per client timeout deadline, and retires
-//! those gates through the wheel's generation counters the moment their
-//! canonical source empties — the plan cursor reaching the end, the
-//! retry queue draining, or an attempt leaving the flight table before
-//! its deadline. Cancellation is a pure scheduling optimization: the
-//! canonical containers here (event list, retry heap, timeout heap)
-//! remain the source of truth, so a cancelled-then-re-armed gate drains
-//! exactly what a polled run would.
+//! Scheduling: plan events join the engine's incident queue, and failed
+//! attempts wait in the retry list and the timeout calendar. Each
+//! step's fault, retry and timeout drains run only once the head of
+//! their own container is due, so a run drains exactly what polling
+//! every container every step would. An attempt that settles before its
+//! deadline leaves a dead calendar entry, dropped when it reaches the
+//! head.
 
 use gdisim_types::{SimTime, TierKind};
 use gdisim_workload::RetryPolicy;
@@ -110,9 +108,8 @@ pub enum InFlightPolicy {
     /// Queued jobs are evicted and silently lost; the owning operations
     /// only notice at their client timeout (or immediately, when no
     /// retry policy is configured). This is the policy that exercises
-    /// the *real* timeout path: the attempt's timeout gate stays armed
-    /// until the reaper fires it, rather than being cancelled at
-    /// completion.
+    /// the *real* timeout path: the attempt's timeout stays live until
+    /// the reaper fires it, rather than going dead at completion.
     Drop,
     /// Queued jobs are evicted and bounce back as failure responses; the
     /// owning operations fail immediately and retry per policy.

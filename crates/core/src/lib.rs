@@ -29,17 +29,15 @@ pub mod scenarios;
 pub mod shard;
 pub mod snapshot;
 pub mod trace;
-pub mod wheel;
 
 pub use audit::{AuditState, InvariantViolation};
 pub use churn::{ChurnModel, ChurnModelError, ChurnProcess, DomainMember, FailureDomain};
 pub use config::{MasterPolicy, SimulationConfig};
 pub use engine::{BuildError, Simulation, TrafficSource};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultPlanError, FaultTarget, InFlightPolicy};
-pub use observe::Observers;
+pub use observe::{EventClass, Observers};
 pub use optrace::OpTraceRecorder;
 pub use report::{BackgroundRecord, FaultStats, Report, ResilienceStats, TierKey};
 pub use shard::{ShardConfigError, ShardCrash, ShardStats, ShardedSimulation};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotMeta, SnapshotPayload};
 pub use trace::{DroppedCounts, TraceEvent, TraceLog};
-pub use wheel::{EventClass, TimerWheel};

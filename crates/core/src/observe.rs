@@ -23,11 +23,67 @@ use crate::audit::AuditState;
 use crate::optrace::OpTraceRecorder;
 use crate::report::Report;
 use crate::trace::{TraceEvent, TraceLog};
-use crate::wheel::EventClass;
 use gdisim_infra::Component;
 use gdisim_metrics::{MetricsRegistry, ResponseKey};
 use gdisim_obs::{StepProfiler, PHASE_COLLECT};
 use gdisim_types::{AgentId, SimTime};
+
+/// The phase-1 event classes, one per drain in
+/// [`crate::Simulation::step`]'s phase 1, in the order they run there.
+/// Each drain runs when its class's next due time has come (see
+/// DESIGN.md §4.3); the profiler accounts every drain under its class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventClass {
+    /// Churn, fault-plan and health fail/restore transitions
+    /// (`apply_incidents`).
+    Incidents,
+    /// Client retry backoffs (`launch_due_retries`).
+    Retries,
+    /// Hedge-delay expiries (`launch_due_hedges`).
+    Hedges,
+    /// Per-attempt operation timeouts (`reap_timeouts`).
+    Timeouts,
+    /// Session think-timer expiries (`wake_sessions`).
+    SessionWakes,
+    /// Periodic series launches (the `PeriodicSeries` traffic arm).
+    Series,
+    /// Background daemon schedules (`poll_background`).
+    Background,
+}
+
+impl EventClass {
+    /// All classes, in phase-1 drain order.
+    pub const ALL: [EventClass; 7] = [
+        EventClass::Incidents,
+        EventClass::Retries,
+        EventClass::Hedges,
+        EventClass::Timeouts,
+        EventClass::SessionWakes,
+        EventClass::Series,
+        EventClass::Background,
+    ];
+
+    /// Dense index (`0..ALL.len()`), usable as a profiler slot.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Stable snake_case name for export artifacts.
+    pub fn label(self) -> &'static str {
+        match self {
+            // Kept as "churn": the profile JSON's `drains.churn` and the
+            // benchmark's `core.wheel.churn.*` read it, and churn is the
+            // only incident source on every benchmark workload.
+            EventClass::Incidents => "churn",
+            EventClass::Retries => "retries",
+            EventClass::Hedges => "hedges",
+            EventClass::Timeouts => "timeouts",
+            EventClass::SessionWakes => "session_wakes",
+            EventClass::Series => "series",
+            EventClass::Background => "background",
+        }
+    }
+}
 
 /// One thing the engine tells its observers, stamped with a simulation
 /// time by [`Observers::emit`]. The fields mirror the
@@ -91,16 +147,18 @@ pub(crate) enum Event<'a> {
     },
     /// A step opened. Profiler.
     StepBegin,
-    /// A phase-1 drain was considered: whether it `ran`, whether a wheel
-    /// gate let it through, how many events it `processed`. Profiler.
+    /// A phase-1 drain was considered: whether it `ran`, whether its
+    /// due time (as opposed to polling) let it through, how many events
+    /// it `processed`. Profiler.
     Drain {
         class: EventClass,
         ran: bool,
         gated: bool,
         processed: u64,
     },
-    /// The wheel's monotone gate-cancellation counters. Profiler (deltas).
-    GatesCancelled(&'a [u64; EventClass::ALL.len()]),
+    /// A settle dropped `count` dead entries off the head of `class`'s
+    /// calendar, before they could wake a no-op drain. Profiler.
+    Dropped { class: EventClass, count: u64 },
     /// A step phase closed (`gdisim_obs::PHASE_*`). Profiler.
     Phase(usize),
     /// A collection boundary sampled the active-set size. Profiler.
@@ -116,9 +174,6 @@ pub struct Observers {
     pub(crate) spans: Option<OpTraceRecorder>,
     pub(crate) profiler: Option<StepProfiler>,
     pub(crate) audit: Option<AuditState>,
-    /// Last-seen wheel cancellation counters; the profiler is fed the
-    /// deltas.
-    cancelled_seen: [u64; EventClass::ALL.len()],
 }
 
 impl Observers {
@@ -156,15 +211,7 @@ impl Observers {
                 gated,
                 processed,
             } => p.note_drain(class.index(), ran, gated, processed),
-            Event::GatesCancelled(counts) => {
-                for (class, &count) in counts.iter().enumerate() {
-                    let seen = &mut self.cancelled_seen[class];
-                    if count > *seen {
-                        p.note_cancelled(class, count - *seen);
-                        *seen = count;
-                    }
-                }
-            }
+            Event::Dropped { class, count } => p.note_cancelled(class.index(), count),
             Event::Phase(phase) => p.mark_phase(phase),
             Event::Occupancy(active) => p.sample_occupancy(at.as_secs_f64(), active as f64),
             Event::StepEnd(active) => {
@@ -242,5 +289,27 @@ pub(crate) fn export_counters(r: &mut MetricsRegistry, report: &Report, sets: &[
     if let Some(a) = merged_audit(sets.iter().copied()) {
         r.set_counter("audit.checks", a.checks);
         r.set_counter("audit.violations", a.violations);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn class_count_matches_profiler_slots() {
+        // The obs profiler is EventClass-agnostic; its drain-slot count
+        // must track this enum.
+        assert_eq!(EventClass::ALL.len(), gdisim_obs::NUM_CLASSES);
+    }
+
+    #[test]
+    fn class_indices_are_dense_and_labels_unique() {
+        for (i, c) in EventClass::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
+        let labels: std::collections::BTreeSet<_> =
+            EventClass::ALL.iter().map(|c| c.label()).collect();
+        assert_eq!(labels.len(), EventClass::ALL.len());
     }
 }

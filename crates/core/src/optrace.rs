@@ -5,7 +5,7 @@
 //! it assembles span trees out of the launch, hedge, token, hop,
 //! message, failure and completion events the engine emits. It draws
 //! from no RNG stream (sampling is a stateless hash of `(seed,
-//! instance)`), arms no gates, and never touches simulation state — so
+//! instance)`), arms no deadlines, and never touches simulation state — so
 //! runs are bit-identical with tracing on or off at any sample rate.
 //! Shard migration reads span state back through direct calls
 //! (`root_of`, `mark_remote`, `take_foreign_segs`, `attach_remote_segs`,

@@ -7,7 +7,7 @@
 //! every data center (round-robin when there are fewer shards than
 //! DCs) gets a **shard** — a full [`Simulation`] clone that launches
 //! only its own sites' traffic, owns its components' queues, its own
-//! active set and its own timer wheel — and shards step *independently*
+//! active set and its own event calendars — and shards step *independently*
 //! for a whole lookahead window between barriers.
 //!
 //! **Lookahead.** The window is `max(1, floor(min_wan_latency / dt))`

@@ -8,9 +8,8 @@
 //! fault/churn/resilience runtimes, report accumulators and (under
 //! sharding) per-shard state plus the undelivered window mail — so a
 //! run resumed from a checkpoint produces output bit-identical to the
-//! uninterrupted run. The timer wheel is deliberately absent: it is a
-//! pure scheduling index and the restored engine re-primes it from the
-//! canonical containers at its next step.
+//! uninterrupted run. The one derived scheduling value, the next
+//! periodic-series launch, is rebuilt from the series cursors on load.
 //!
 //! Writes are atomic: the bytes land in a `.tmp` sibling which is then
 //! renamed over the final path, so a crash mid-write can never leave a

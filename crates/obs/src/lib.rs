@@ -8,7 +8,7 @@
 //!
 //! * [`StepProfiler`] — cheap monotonic-clock spans around the engine's
 //!   step phases, aggregated into a [`StepProfile`]: per-phase wall
-//!   totals, a log-bucketed histogram of step durations, wheel-gating
+//!   totals, a log-bucketed histogram of step durations, drain
 //!   statistics per event class, and active-set occupancy. The profiler
 //!   only ever reads the wall clock and counters handed to it — it
 //!   cannot influence simulation state, so enabling it never changes

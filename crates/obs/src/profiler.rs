@@ -18,7 +18,7 @@ use std::time::Instant;
 
 /// Number of instrumented step phases.
 pub const NUM_PHASES: usize = 4;
-/// Phase slot: phase-1 event drains (wheel advance + arrivals + daemons).
+/// Phase slot: phase-1 event drains (incidents, arrivals, daemons).
 pub const PHASE_DRAIN: usize = 0;
 /// Phase slot: phase-2 time increment (executor + memory advance).
 pub const PHASE_ADVANCE: usize = 1;
@@ -35,28 +35,26 @@ pub const NUM_CLASSES: usize = 7;
 
 /// Per-event-class drain accounting over a run.
 ///
-/// Every step, each class's drain is either skipped (gate closed) or run
-/// (gate fired, or polling mode); a run that processed zero events is
-/// additionally a no-op — on the gated path that means a *stale gate*:
-/// the wheel said "due" but the canonical container had nothing (e.g. a
-/// timeout that completed before expiring). `noop` is the measured
-/// quantity behind the ROADMAP "stale gates" question; `cancelled`
-/// counts the stale gates the wheel's generation counters retired
-/// *before* they could wake a no-op drain.
+/// Every step, each class's drain is either skipped (nothing due) or run
+/// (its next event was due, or polling mode); a run that processed zero
+/// events is additionally a no-op — on the gated path that means the
+/// due event was stale (e.g. the timeout of an attempt that completed
+/// before expiring). `cancelled` counts stale calendar entries dropped
+/// at settle time *before* they could wake a no-op drain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DrainStats {
-    /// Steps where the drain did not run (wheel gate closed).
+    /// Steps where the drain did not run (nothing due).
     pub skipped: u64,
-    /// Steps where the drain ran because its wheel gate fired.
+    /// Steps where the drain ran because its next event was due.
     pub gated: u64,
     /// Steps where the drain ran unconditionally (polling mode).
     pub polled: u64,
-    /// Runs that processed zero events (stale gate or empty poll).
+    /// Runs that processed zero events (stale due event or empty poll).
     pub noop: u64,
     /// Total events processed by the drain.
     pub events: u64,
-    /// Stale gates dropped by generation-counter cancellation instead
-    /// of firing (would have been `noop` runs without cancellation).
+    /// Stale calendar entries dropped at settle time instead of waking
+    /// a drain.
     pub cancelled: u64,
 }
 
@@ -212,7 +210,7 @@ impl StepProfiler {
     }
 
     /// Accounts one phase-1 drain: `ran` says whether the drain executed
-    /// at all, `gated` whether a wheel gate (as opposed to unconditional
+    /// at all, `gated` whether its due time (as opposed to unconditional
     /// polling) let it through, `processed` how many events it handled.
     #[inline]
     pub fn note_drain(&mut self, class: usize, ran: bool, gated: bool, processed: u64) {
@@ -232,9 +230,8 @@ impl StepProfiler {
         d.events += processed;
     }
 
-    /// Accounts `n` cancelled (generation-retired) gates for a class.
-    /// The engine reports deltas of the wheel's monotone per-class
-    /// cancellation counters once per step.
+    /// Accounts `n` stale calendar entries of a class, dropped by a
+    /// settle as it happens.
     #[inline]
     pub fn note_cancelled(&mut self, class: usize, n: u64) {
         self.drains[class].cancelled += n;
@@ -353,7 +350,7 @@ mod tests {
         p.note_drain(0, true, true, 0); // gated, stale (no-op)
         p.note_drain(0, true, false, 2); // polled, productive
         p.note_drain(0, true, false, 0); // polled no-op
-        p.note_cancelled(0, 3); // stale gates retired before firing
+        p.note_cancelled(0, 3); // stale entries dropped before firing
         let d = p.drain_stats(0);
         assert_eq!(d.skipped, 1);
         assert_eq!(d.gated, 2);

@@ -250,7 +250,7 @@ fn profile_export_parses_with_required_keys_and_exact_phase_sum() {
         "phase wall totals must sum to step wall time"
     );
     assert!((phase_sum as f64 - wall as f64).abs() <= 0.10 * wall as f64);
-    // Every drain class is reported, and the wheel actually gated some
+    // Every drain class is reported, and due times actually gated some
     // drains while skipping most — the run is not vacuously idle.
     let drains = v.get("drains").and_then(|d| d.as_object()).expect("drains");
     assert_eq!(drains.len(), NUM_CLASSES);
@@ -260,7 +260,7 @@ fn profile_export_parses_with_required_keys_and_exact_phase_sum() {
             .map(|(_, d)| d.get(field).and_then(|x| x.as_u64()).unwrap_or(0))
             .sum()
     };
-    assert!(total("gated") > 0, "no drain was ever wheel-gated");
+    assert!(total("gated") > 0, "no drain was ever gated");
     assert!(total("skipped") > 0, "no drain was ever skipped");
     assert!(total("events") > 0, "no drain ever processed an event");
 }

@@ -1,20 +1,19 @@
-//! Gate-cancellation equivalence: the cancellation analogue of
-//! `wheel_equivalence.rs`. Generation-counter cancellation retires
-//! timer-wheel gates at the exact engine sites that used to strand them
-//! — a timeout whose attempt completed or failed, a retry batch fully
-//! launched, a fault plan exhausted, a health queue emptied — and every
-//! retirement must be invisible to the simulation: a cancelled gate's
-//! drain would have been a no-op, and the re-arm at the canonical
-//! container's surviving head keeps every *live* event's gate firing
-//! early-or-on-time, never late.
+//! Cancellation equivalence: the cancellation analogue of
+//! `wheel_equivalence.rs`. An attempt that settles before its deadline
+//! leaves a dead entry in the timeout calendar, which the settle drops
+//! off the calendar's head; retries launch and fault plans run dry. None
+//! of it may be visible to the simulation: each phase-1 drain runs once
+//! the head of its own queue is due, which is exactly when its own pop
+//! loop would find work, so dropping a dead entry early only skips a
+//! drain that would have been a no-op.
 //!
 //! The scenario here is deliberately cancellation-heavy: a short
 //! per-attempt timeout with `InFlightPolicy::Drop` on a link that fails
 //! and recovers in quick cycles, so operations constantly complete
 //! before their (armed) timeouts, time out for real, retry and complete
-//! again — thousands of bumps and re-arms per run. Wheel-gated runs are
-//! compared bit-for-bit against `set_always_poll(true)` runs across all
-//! three executors, down to the message-level hop trace.
+//! again — thousands of dead deadlines per run. Gated runs are compared
+//! bit-for-bit against `set_always_poll(true)` runs across all three
+//! executors, down to the message-level hop trace.
 
 mod common;
 
@@ -86,8 +85,7 @@ fn run(seed: u64, executor: usize, horizon_secs: u64, poll: bool) -> Signature {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For random seeds, horizons and executors, a cancellation-enabled
-    /// wheel-gated run of the churn scenario is bit-identical to a
+    /// For random seeds, horizons and executors, a gated run of the churn scenario is bit-identical to a
     /// polled run — responses, utilization, client counts, fault
     /// counters and the full message-level hop trace.
     #[test]
@@ -108,7 +106,8 @@ proptest! {
 }
 
 /// The equivalence above is not vacuous: a deterministic churn run under
-/// the wheel actually times out, retries, completes — and cancels gates.
+/// the gated loop actually times out, retries, completes — and drops
+/// dead deadlines.
 #[test]
 fn churn_scenario_actually_cancels_gates() {
     let mut sim = build(42);
@@ -124,13 +123,12 @@ fn churn_scenario_actually_cancels_gates() {
         .sum();
     assert!(
         cancelled > 0,
-        "churn run cancelled no gates — the protocol never engaged"
+        "churn run dropped no dead deadlines — the path never engaged"
     );
-    // Cancellation must pay for itself where it matters: the timeout
-    // class, where every completion retires the completed attempt's
-    // gate.
+    // Dropping must happen where it matters: the timeout class, where
+    // every completion leaves the completed attempt's deadline dead.
     let timeouts = p
         .drain_stats(gdisim_core::EventClass::Timeouts.index())
         .cancelled;
-    assert!(timeouts > 0, "no timeout gates were cancelled");
+    assert!(timeouts > 0, "no dead timeout entries were dropped");
 }

@@ -1,13 +1,13 @@
-//! Timer-wheel equivalence: the event-indexed phase-1 loop (the
-//! default) must be bit-for-bit identical to the polling loop it
-//! replaced, for every scenario family, executor and seed — including
-//! runs with an *active* fault plan exercising the fault, retry and
-//! timeout gates. Three modes are compared pairwise:
+//! Gating equivalence: the event-indexed phase-1 loop (the default)
+//! must be bit-for-bit identical to the polling loop it replaced, for
+//! every scenario family, executor and seed — including runs with an
+//! *active* fault plan exercising the fault, retry and timeout drains.
+//! Three modes are compared pairwise:
 //!
-//! * **wheel** — the default: phase-1 drains gated by the timer wheel,
-//!   phase 2 over the active set;
+//! * **gated** — the default: each phase-1 drain runs once the head of
+//!   its own queue is due, phase 2 over the active set;
 //! * **poll** — `set_always_poll(true)`: every phase-1 source polled
-//!   every step (the pre-wheel loop);
+//!   every step (the seed loop);
 //! * **poll + tick** — additionally `set_always_tick(true)`: every agent
 //!   ticked every step (the original dense loop).
 //!
@@ -23,21 +23,21 @@ use proptest::prelude::*;
 
 fn build_scenario(scenario: usize, seed: u64) -> Simulation {
     match scenario {
-        // Active fault plan: fault, retry, timeout and health gates.
+        // Active fault plan: fault, retry, timeout and health drains.
         0 => {
             let mut sim = faulted::build(seed);
             sim.set_fault_plan(compressed_fault_plan())
                 .expect("compressed plan matches the faulted topology");
             sim
         }
-        // Periodic series sources: the series gate.
+        // Periodic series sources: the series drain.
         1 => validation::build(validation::EXPERIMENTS[0], seed),
         // Cancellation churn: short timeouts + Drop policy + repeated
-        // link flaps, so timeout gates are armed, cancelled and re-armed
-        // continuously (the generation-counter protocol under load).
+        // link flaps, so timeout deadlines are armed, outlived and
+        // reaped continuously.
         2 => build_cancellation_heavy(seed),
         // Diurnal + session populations + background daemons: the
-        // session-wake and background gates plus the ungated samplers.
+        // session-wake and background drains plus the ungated samplers.
         _ => consolidated::build(seed),
     }
 }
@@ -56,7 +56,7 @@ fn run(scenario: usize, seed: u64, executor: usize, horizon_secs: u64, mode: usi
     let mut sim = build_scenario(scenario, seed);
     sim.set_executor(executor_for(executor));
     match mode {
-        0 => {} // wheel-gated default
+        0 => {} // gated default
         1 => sim.set_always_poll(true),
         _ => {
             sim.set_always_poll(true);
@@ -99,7 +99,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For random seeds, horizons, executors and scenario families, a
-    /// wheel-gated run, a polling run and a polling always-tick run all
+    /// gated run, a polling run and a polling always-tick run all
     /// produce identical response histories, utilization series, client
     /// series and fault counters.
     #[test]
@@ -126,7 +126,7 @@ proptest! {
 
 /// The fault path actually fires in the proptest's scenario 0: a
 /// deterministic smoke check that the compressed plan produces failures
-/// and retries under the wheel, so the equivalence above is not
+/// and retries under gating, so the equivalence above is not
 /// vacuously comparing idle runs.
 #[test]
 fn compressed_fault_scenario_exercises_the_fault_gates() {
