@@ -1,10 +1,15 @@
 //! Microbenchmarks of the fluid queue kernels — the inner loops every
 //! simulated tick spends its time in.
+//!
+//! The last three cases are the shapes the paper's studies tick most:
+//! a 20-disk SAN whose only job is still in its front stages (so its 40
+//! disk queues are empty), a 2-socket CPU with one socket busy, and an
+//! FCFS queue with nothing in it.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gdisim_queueing::{
     CpuModel, CpuSpec, FcfsMulti, JobToken, LinkModel, LinkSpec, PsQueue, RaidModel, RaidSpec,
-    Station,
+    SanModel, SanSpec, Station,
 };
 use gdisim_types::units::{gbps, ghz, mb_per_s, mbps};
 use gdisim_types::{SimDuration, SimTime};
@@ -113,6 +118,68 @@ fn bench_link(c: &mut Criterion) {
     });
 }
 
+fn bench_san_front_only(c: &mut Criterion) {
+    c.bench_function("san_20_disks_one_job_in_front", |b| {
+        b.iter_batched_ref(
+            || {
+                let spec = SanSpec::new(
+                    20,
+                    gbps(8.0),
+                    gbps(4.0),
+                    0.0,
+                    gbps(4.0),
+                    gbps(2.0),
+                    0.0,
+                    mb_per_s(120.0),
+                );
+                let mut s = SanModel::new(spec, 7);
+                // 1 GB holds the FC switch for the whole batch.
+                s.enqueue(JobToken(0), 1e9, SimTime::ZERO);
+                (s, Vec::new())
+            },
+            |(s, done)| {
+                for t in 0..16u64 {
+                    s.tick(SimTime::from_millis(t * 10), DT, done);
+                }
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+fn bench_cpu_one_socket_busy(c: &mut Criterion) {
+    c.bench_function("cpu_2_sockets_one_busy", |b| {
+        b.iter_batched_ref(
+            || {
+                let mut cpu = CpuModel::new(CpuSpec::new(2, 8, ghz(2.5)));
+                // Round-robin puts the one job on socket 0.
+                cpu.enqueue(JobToken(0), 1e12, SimTime::ZERO);
+                (cpu, Vec::new())
+            },
+            |(cpu, done)| {
+                for t in 0..16u64 {
+                    cpu.tick(SimTime::from_millis(t * 10), DT, done);
+                }
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+fn bench_fcfs_empty(c: &mut Criterion) {
+    c.bench_function("fcfs_tick_empty", |b| {
+        b.iter_batched_ref(
+            || (FcfsMulti::new(8, 1000.0), Vec::new()),
+            |(q, done)| {
+                for t in 0..16u64 {
+                    q.tick(SimTime::from_millis(t * 10), DT, done);
+                }
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default().sample_size(30)
 }
@@ -120,6 +187,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = kernels;
     config = config();
-    targets = bench_fcfs, bench_ps, bench_cpu_model, bench_raid, bench_link
+    targets = bench_fcfs, bench_ps, bench_cpu_model, bench_raid, bench_link,
+        bench_san_front_only, bench_cpu_one_socket_busy, bench_fcfs_empty
 }
 criterion_main!(kernels);

@@ -70,6 +70,9 @@
 //! of the plain step loop — robustness must be free when unused.
 //! Finally, operation tracing sampled at 1% must stay within 5% of the
 //! untraced run — observability at production rates must be near-free.
+//! Those two timing checks compare best-of-5 consolidated 30 sim-s runs
+//! of under 10 ms each, so host noise can move either side by more than
+//! the budget; each prints both sides' minimum and median.
 
 use gdisim_bench::{json_escape, print_table, write_csv, write_json};
 use gdisim_core::scenarios::{churned, consolidated, faulted, rates, validation};
@@ -256,10 +259,28 @@ fn gating_stats(build: fn(u64) -> Simulation, horizon_secs: u64, poll: bool) -> 
     g
 }
 
-/// Best-of-`reps` wall milliseconds for one full run. The runs are
-/// short (tens of milliseconds), so the minimum — the least-interfered
-/// sample — is a far stabler estimator than the median under scheduler
-/// noise, and both sides of every before/after ratio use it.
+/// Wall milliseconds of repeated runs of one configuration.
+struct Reps(Vec<f64>);
+
+impl Reps {
+    /// The least-interfered sample. The runs are short (single-digit to
+    /// tens of milliseconds), so the minimum is a far stabler estimator
+    /// than the median under scheduler noise, and both sides of every
+    /// before/after ratio use it.
+    fn min(&self) -> f64 {
+        self.0.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// The middle sample (the upper one of an even count): printed
+    /// beside the minimum so host noise can be told from a regression.
+    fn median(&self) -> f64 {
+        let mut v = self.0.clone();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    }
+}
+
+/// Wall milliseconds of 5 full runs.
 ///
 /// `dense` selects the *before* loop: every phase-1 source polled and
 /// every agent ticked every step (`always_poll` + `always_tick`, the
@@ -270,9 +291,9 @@ fn measure(
     executor: &Executor,
     horizon_secs: u64,
     dense: bool,
-) -> f64 {
+) -> Reps {
     let reps = 5;
-    (0..reps)
+    let samples = (0..reps)
         .map(|_| {
             let mut sim = build(42);
             sim.set_executor(executor.clone());
@@ -285,10 +306,11 @@ fn measure(
             std::hint::black_box(sim.active_operations());
             start.elapsed().as_secs_f64() * 1e3
         })
-        .fold(f64::INFINITY, f64::min)
+        .collect();
+    Reps(samples)
 }
 
-/// Best-of-reps wall ms for one serial gated-mode run through the
+/// Wall ms of repeated serial gated-mode runs through the
 /// CLI's *robust driver loop*: chunked `run_until` under panic
 /// supervision, with the paranoid auditor and periodic atomic
 /// checkpoint writes individually toggled. With both features off this
@@ -300,12 +322,12 @@ fn measure_robust(
     horizon_secs: u64,
     paranoid: bool,
     ckpt_every_secs: Option<u64>,
-) -> f64 {
+) -> Reps {
     let reps = 5;
     let dir = std::env::temp_dir().join(format!("gdisim-bench-ckpt-{}", std::process::id()));
     let horizon = SimTime::from_secs(horizon_secs);
     let every = ckpt_every_secs.map(SimDuration::from_secs);
-    let best = (0..reps)
+    let samples = (0..reps)
         .map(|_| {
             let mut sim = build(42);
             sim.set_paranoid(paranoid);
@@ -329,19 +351,19 @@ fn measure_robust(
             std::hint::black_box(sim.active_operations());
             start.elapsed().as_secs_f64() * 1e3
         })
-        .fold(f64::INFINITY, f64::min);
+        .collect();
     let _ = std::fs::remove_dir_all(&dir);
-    best
+    Reps(samples)
 }
 
-/// Best-of-reps wall ms for one serial gated-mode run with causal
+/// Wall ms of repeated serial gated-mode runs with causal
 /// operation tracing enabled at `rate` (`None` leaves it off — the
 /// untraced baseline). The sampler decides once per operation at
 /// launch, so a low rate skips the span bookkeeping for almost every
 /// operation; this prices exactly what `--trace-ops RATE` adds.
-fn measure_optrace(build: fn(u64) -> Simulation, horizon_secs: u64, rate: Option<f64>) -> f64 {
+fn measure_optrace(build: fn(u64) -> Simulation, horizon_secs: u64, rate: Option<f64>) -> Reps {
     let reps = 5;
-    (0..reps)
+    let samples = (0..reps)
         .map(|_| {
             let mut sim = build(42);
             if let Some(rate) = rate {
@@ -353,7 +375,8 @@ fn measure_optrace(build: fn(u64) -> Simulation, horizon_secs: u64, rate: Option
             std::hint::black_box(sim.optrace().map_or(0, |r| r.counters().sampled));
             start.elapsed().as_secs_f64() * 1e3
         })
-        .fold(f64::INFINITY, f64::min)
+        .collect();
+    Reps(samples)
 }
 
 /// One sharded measurement: best-of-reps wall ms plus the (run-to-run
@@ -500,7 +523,7 @@ fn check() {
     //    On smaller hosts the ratio is reported but not asserted —
     //    barrier waits without parallel hardware measure only overhead.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let serial = measure(consolidated::build, &Executor::serial(), 30, false);
+    let serial = measure(consolidated::build, &Executor::serial(), 30, false).min();
     let par = measure_sharded(consolidated::build, 30, 4, 4);
     let ratio = serial / par.wall_ms;
     println!(
@@ -518,14 +541,19 @@ fn check() {
     // 7. The robust driver loop (panic supervision + checkpoint
     //    plumbing) with every feature off is what ordinary runs now
     //    execute; it must stay within 2% of the plain step loop (plus
-    //    1 ms of timer slack — these are ~100 ms runs measured at
-    //    millisecond granularity).
-    let plain = measure(consolidated::build, &Executor::serial(), 30, false);
-    let robust_off = measure_robust(consolidated::build, 30, false, None);
+    //    1 ms of timer slack — these are runs of under 10 ms, so the
+    //    slack is a large share of the budget). Both sides' minimum and
+    //    median are printed: a median gap as wide as the minimum gap
+    //    points at a regression, a minimum gap alone at host noise.
+    let plain_reps = measure(consolidated::build, &Executor::serial(), 30, false);
+    let robust_reps = measure_robust(consolidated::build, 30, false, None);
+    let (plain, robust_off) = (plain_reps.min(), robust_reps.min());
     let overhead_pct = (robust_off / plain - 1.0) * 100.0;
     println!(
         "check: robust driver, features off: {plain:.1} ms plain vs {robust_off:.1} ms \
-         supervised = {overhead_pct:+.2}%"
+         supervised = {overhead_pct:+.2}% (medians {:.1} vs {:.1} ms)",
+        plain_reps.median(),
+        robust_reps.median()
     );
     assert!(
         robust_off <= plain * 1.02 + 1.0,
@@ -538,12 +566,15 @@ fn check() {
     //    on the saturated consolidated case — the per-operation launch
     //    check is one hash, and 99% of operations take no other branch.
     //    The sampler must also not be vacuous at this rate and horizon.
-    let untraced = measure_optrace(consolidated::build, 30, None);
-    let sampled = measure_optrace(consolidated::build, 30, Some(0.01));
+    let untraced_reps = measure_optrace(consolidated::build, 30, None);
+    let sampled_reps = measure_optrace(consolidated::build, 30, Some(0.01));
+    let (untraced, sampled) = (untraced_reps.min(), sampled_reps.min());
     let optrace_pct = (sampled / untraced - 1.0) * 100.0;
     println!(
         "check: optrace at 1%: {untraced:.1} ms untraced vs {sampled:.1} ms \
-         sampled = {optrace_pct:+.2}%"
+         sampled = {optrace_pct:+.2}% (medians {:.1} vs {:.1} ms)",
+        untraced_reps.median(),
+        sampled_reps.median()
     );
     let mut sim = consolidated::build(42);
     sim.enable_optrace(0.01);
@@ -588,8 +619,8 @@ fn main() {
             format!("{:.1}", gate.active_mean),
         ]);
         for (name, executor) in &executors {
-            let before = measure(case.build, executor, case.horizon_secs, true);
-            let after = measure(case.build, executor, case.horizon_secs, false);
+            let before = measure(case.build, executor, case.horizon_secs, true).min();
+            let after = measure(case.build, executor, case.horizon_secs, false).min();
             let sim_s = case.horizon_secs as f64;
             let before_rate = before / sim_s;
             let after_rate = after / sim_s;
@@ -633,7 +664,7 @@ fn main() {
     let mut sharded_rows: Vec<Vec<String>> = Vec::new();
     let mut sharded_json: Vec<String> = Vec::new();
     for &(scenario, build, horizon_secs, shards, workers) in &SHARDED_CASES {
-        let serial = measure(build, &Executor::serial(), horizon_secs, false);
+        let serial = measure(build, &Executor::serial(), horizon_secs, false).min();
         let run = measure_sharded(build, horizon_secs, shards, workers);
         let sim_s = horizon_secs as f64;
         let speedup = serial / run.wall_ms;
@@ -675,10 +706,10 @@ fn main() {
     let mut robust_rows: Vec<Vec<String>> = Vec::new();
     let mut robust_json: Vec<String> = Vec::new();
     for case in &CASES {
-        let base = measure(case.build, &Executor::serial(), case.horizon_secs, false);
+        let base = measure(case.build, &Executor::serial(), case.horizon_secs, false).min();
         let every = (case.horizon_secs / 4).max(1);
-        let ckpt = measure_robust(case.build, case.horizon_secs, false, Some(every));
-        let paranoid = measure_robust(case.build, case.horizon_secs, true, None);
+        let ckpt = measure_robust(case.build, case.horizon_secs, false, Some(every)).min();
+        let paranoid = measure_robust(case.build, case.horizon_secs, true, None).min();
         let sim_s = case.horizon_secs as f64;
         let ckpt_pct = (ckpt / base - 1.0) * 100.0;
         let paranoid_pct = (paranoid / base - 1.0) * 100.0;
@@ -715,9 +746,9 @@ fn main() {
     let mut optrace_rows: Vec<Vec<String>> = Vec::new();
     let mut optrace_json: Vec<String> = Vec::new();
     for case in &CASES {
-        let base = measure_optrace(case.build, case.horizon_secs, None);
-        let sampled = measure_optrace(case.build, case.horizon_secs, Some(0.01));
-        let full = measure_optrace(case.build, case.horizon_secs, Some(1.0));
+        let base = measure_optrace(case.build, case.horizon_secs, None).min();
+        let sampled = measure_optrace(case.build, case.horizon_secs, Some(0.01)).min();
+        let full = measure_optrace(case.build, case.horizon_secs, Some(1.0)).min();
         let mut sim = (case.build)(42);
         sim.enable_optrace(1.0);
         sim.run_until(SimTime::from_secs(case.horizon_secs));

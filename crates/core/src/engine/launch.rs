@@ -12,6 +12,21 @@ use gdisim_types::{AppId, OpTypeId, SimDuration, SimTime};
 use gdisim_workload::{AppWorkload, OperationTemplate, SiteBinding};
 use std::sync::Arc;
 
+/// `e^-lambda` from slot `idx` of `memo` when the slot holds `lambda`'s
+/// exact bits, recomputed and stored otherwise. Stored pairs are always
+/// `(λ, e^-λ)`, so a hit returns exactly what `(-lambda).exp()` would.
+fn memo_exp(memo: &mut Vec<(f64, f64)>, idx: usize, lambda: f64) -> f64 {
+    if memo.len() <= idx {
+        memo.resize(idx + 1, (0.0, 1.0));
+    }
+    let (memo_lambda, l) = &mut memo[idx];
+    if memo_lambda.to_bits() != lambda.to_bits() {
+        *memo_lambda = lambda;
+        *l = (-lambda).exp();
+    }
+    *l
+}
+
 /// A failed client operation scheduled for re-issue after its backoff.
 #[derive(Clone)]
 pub(super) struct PendingRetry {
@@ -120,6 +135,10 @@ impl Simulation {
     /// whose events no longer exist.
     pub(super) fn generate_arrivals(&mut self, now: SimTime, series_due: bool) -> u64 {
         let dt_secs = self.config.dt.as_secs_f64();
+        // Every curve is evaluated at the same instant.
+        let hour = now.hour_of_day();
+        // Position of the next diurnal site in `arrival_memo`.
+        let mut memo_idx = 0;
         let mut produced = 0u64;
         // The least pending series launch seen by this scan, in µs
         // (`u64::MAX`: none).
@@ -133,8 +152,10 @@ impl Simulation {
                     site_map,
                 } => {
                     for (w_site, &site) in site_map.iter().enumerate() {
-                        let lambda = workload.arrival_rate(w_site, now) * dt_secs;
-                        let n = self.sampler.poisson(lambda);
+                        let lambda = workload.arrival_rate_at_gmt_hour(w_site, hour) * dt_secs;
+                        let l = memo_exp(&mut self.arrival_memo, memo_idx, lambda);
+                        memo_idx += 1;
+                        let n = self.sampler.poisson_with_exp(lambda, l);
                         produced += 1 + u64::from(n);
                         for _ in 0..n {
                             self.launch_from_mix(*app_idx, site, None, now);
@@ -151,7 +172,10 @@ impl Simulation {
                 } => {
                     for w_site in 0..site_map.len() {
                         produced += 1; // the population-target check itself
-                        let target = workload.sites[w_site].curve.population(now).round() as i64;
+                        let target = workload.sites[w_site]
+                            .curve
+                            .population_at_gmt_hour(hour)
+                            .round() as i64;
                         let current = live[w_site] as i64 - retiring[w_site] as i64;
                         if current < target {
                             // Log new sessions in; their first operation

@@ -111,6 +111,12 @@ pub struct Simulation {
     /// added, recomputed by every scan that launches, and rebuilt after
     /// a restore or a site split.
     next_series: Option<SimTime>,
+    /// `(λ, e^-λ)` of the last Poisson draw at each diurnal site, in
+    /// scan order, so a step whose λ is bit-equal to the previous one
+    /// skips the `exp`. Never serialized: every entry is a pure function
+    /// of its own λ, so an empty or misaligned memo (after a restore or
+    /// a site split) only costs a recomputation.
+    arrival_memo: Vec<(f64, f64)>,
     /// Traffic sources that must be visited every step regardless of
     /// due times (diurnal Poisson draws, session population tracking).
     /// When zero, the traffic scan runs only when a series launch is due.
@@ -220,6 +226,7 @@ impl Simulation {
             completed_scratch: Vec::new(),
             always_poll: false,
             next_series: None,
+            arrival_memo: Vec::new(),
             polled_sources: 0,
             churn: None,
             resilience: None,
@@ -799,10 +806,12 @@ impl Simulation {
 }
 
 // Checkpoint support. Each runtime struct's impl sits beside it in its
-// seam's module; the field order below is the format. Three members are deliberately not serialized:
+// seam's module; the field order below is the format. Four members are deliberately not serialized:
 //
 // * `next_series` — derived from the series cursors, and rebuilt from
 //   them on load.
+// * `arrival_memo` — a cache of `e^-λ` keyed by λ's bits; it starts
+//   empty on load.
 // * the observer set beyond the trace log and the auditor — the
 //   profiler is wall-clock observation and the span recorder is never
 //   serialized (a resumed run starts with an empty recorder); the trace
@@ -880,6 +889,7 @@ impl gdisim_snap::Snap for Simulation {
             completed_scratch: Vec::new(),
             always_poll: gdisim_snap::Snap::load(r)?,
             next_series: None,
+            arrival_memo: Vec::new(),
             polled_sources: gdisim_snap::Snap::load(r)?,
             churn: gdisim_snap::Snap::load(r)?,
             resilience: gdisim_snap::Snap::load(r)?,

@@ -77,6 +77,38 @@ fn serial_resume_is_bit_identical_on_every_scenario() {
     }
 }
 
+/// The arrival scan keeps `e^-λ` per site across steps in a memo that
+/// checkpoints do not carry. Resuming consolidation at 00:05 GMT, while
+/// AS (GMT+8) is mid-ramp (its λ changes every step) and AUS (GMT+10)
+/// sits on its plateau (its λ repeats), must still give the
+/// uninterrupted report.
+#[test]
+fn consolidation_resumed_mid_ramp_keeps_the_uninterrupted_report() {
+    let horizon = SimTime::from_secs(600);
+    let mut uninterrupted = common::build("consolidated", 7);
+    uninterrupted.run_until(horizon);
+
+    let mut first_leg = common::build("consolidated", 7);
+    first_leg.run_until(SimTime::from_secs(300));
+    let ckpt = encode_serial("consolidated", 7, first_leg);
+    let SnapshotPayload::Serial(mut resumed) = Snapshot::from_bytes(&ckpt)
+        .expect("checkpoint decodes")
+        .payload
+    else {
+        panic!("serial checkpoint must decode to a serial payload");
+    };
+    resumed.run_until(horizon);
+
+    assert_eq!(
+        report_bytes(uninterrupted.report()),
+        report_bytes(resumed.report())
+    );
+    assert_eq!(
+        encode_serial("consolidated", 7, uninterrupted),
+        encode_serial("consolidated", 7, *resumed)
+    );
+}
+
 #[test]
 fn resume_inside_a_fault_plan_outage_under_churn_is_bit_identical() {
     // Checkpointed at 16 min, inside the plan's partition and after

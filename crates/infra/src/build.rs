@@ -691,7 +691,7 @@ impl Infrastructure {
     pub fn retire_idle(&mut self, t: SimTime) {
         let components = &self.components;
         self.active
-            .retire(t, |agent| components[agent].component.in_system() == 0);
+            .retire(t, |agent| components[agent].component.is_empty());
     }
 
     /// Credits the idle span `[max(idle_from, epoch), t)` to every

@@ -143,6 +143,18 @@ impl Station for Component {
         }
     }
 
+    fn is_empty(&self) -> bool {
+        match self {
+            Component::Cpu(m) => m.is_empty(),
+            Component::Nic(m) => m.is_empty(),
+            Component::Switch(m) => m.is_empty(),
+            Component::Link(m) => m.is_empty(),
+            Component::Raid(m) => m.is_empty(),
+            Component::San(m) => m.is_empty(),
+            Component::ClientPool(m) => m.is_empty(),
+        }
+    }
+
     fn evict_all(&mut self, into: &mut Vec<JobToken>) {
         self.station().evict_all(into)
     }

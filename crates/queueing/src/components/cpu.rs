@@ -130,6 +130,10 @@ impl Station for CpuModel {
         self.sockets.iter().map(|s| s.in_system()).sum()
     }
 
+    fn is_empty(&self) -> bool {
+        self.sockets.iter().all(|s| s.is_empty())
+    }
+
     fn evict_all(&mut self, into: &mut Vec<JobToken>) {
         for s in &mut self.sockets {
             s.evict_all(into);

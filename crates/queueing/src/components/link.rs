@@ -91,9 +91,11 @@ impl Station for LinkModel {
     }
 
     fn tick(&mut self, now: SimTime, dt: SimDuration, completed: &mut Vec<JobToken>) {
-        let mut served = Vec::new();
-        self.service.tick(now, dt, &mut served);
-        for token in served {
+        // The PS stage's completions land at the tail of `completed` and
+        // move from there into the delay line, in service order.
+        let start = completed.len();
+        self.service.tick(now, dt, completed);
+        for token in completed.drain(start..) {
             // Service finished somewhere inside this tick; stamp the
             // propagation start at the tick's end so latency is never
             // under-counted.

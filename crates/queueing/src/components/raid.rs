@@ -146,29 +146,42 @@ impl Station for RaidModel {
     fn tick(&mut self, now: SimTime, dt: SimDuration, completed: &mut Vec<JobToken>) {
         // Drives first, then disk controllers, then the array controller:
         // back-to-front so a job advances at most one stage per tick.
-        for i in 0..self.spec.disks as usize {
-            self.scratch.clear();
-            self.disk_drive[i].tick(now, dt, &mut self.scratch);
-            for token in self.scratch.drain(..) {
-                Self::join_stripe(&mut self.outstanding, &mut self.stripe_of, token, completed);
+        if self.outstanding.is_empty() {
+            // No forked job, so no stripe sits at any disk: each disk
+            // queue's tick would be an empty one, which draws no random
+            // number and completes nothing.
+            for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
+                q.account_idle(1, dt);
             }
-        }
-        for i in 0..self.spec.disks as usize {
-            self.scratch.clear();
-            self.disk_ctrl[i].tick(now, dt, &mut self.scratch);
-            for token in self.scratch.drain(..) {
-                if self.rng.bernoulli(self.spec.disk_cache_hit) {
+        } else {
+            for i in 0..self.spec.disks as usize {
+                self.scratch.clear();
+                self.disk_drive[i].tick(now, dt, &mut self.scratch);
+                for token in self.scratch.drain(..) {
                     Self::join_stripe(&mut self.outstanding, &mut self.stripe_of, token, completed);
-                } else {
-                    let stripe = self.stripe_of[&token];
-                    self.disk_drive[i].enqueue(token, stripe, now);
+                }
+            }
+            for i in 0..self.spec.disks as usize {
+                self.scratch.clear();
+                self.disk_ctrl[i].tick(now, dt, &mut self.scratch);
+                for token in self.scratch.drain(..) {
+                    if self.rng.bernoulli(self.spec.disk_cache_hit) {
+                        Self::join_stripe(
+                            &mut self.outstanding,
+                            &mut self.stripe_of,
+                            token,
+                            completed,
+                        );
+                    } else {
+                        let stripe = self.stripe_of[&token];
+                        self.disk_drive[i].enqueue(token, stripe, now);
+                    }
                 }
             }
         }
         self.scratch.clear();
         self.dacc.tick(now, dt, &mut self.scratch);
-        let forked = std::mem::take(&mut self.scratch);
-        for token in forked {
+        for token in self.scratch.drain(..) {
             if self.rng.bernoulli(self.spec.array_cache_hit) {
                 self.stripe_of.remove(&token);
                 completed.push(token);

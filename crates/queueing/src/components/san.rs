@@ -147,15 +147,19 @@ impl SanModel {
                     + disk_miss * stripe / self.spec.disk_rate)
     }
 
-    fn join_stripe(&mut self, token: JobToken, completed: &mut Vec<JobToken>) {
-        let remaining = self
-            .outstanding
+    fn join_stripe(
+        outstanding: &mut HashMap<JobToken, u32>,
+        demand_of: &mut HashMap<JobToken, f64>,
+        token: JobToken,
+        completed: &mut Vec<JobToken>,
+    ) {
+        let remaining = outstanding
             .get_mut(&token)
             .expect("stripe without join entry");
         *remaining -= 1;
         if *remaining == 0 {
-            self.outstanding.remove(&token);
-            self.demand_of.remove(&token);
+            outstanding.remove(&token);
+            demand_of.remove(&token);
             completed.push(token);
         }
     }
@@ -171,31 +175,42 @@ impl Station for SanModel {
     fn tick(&mut self, now: SimTime, dt: SimDuration, completed: &mut Vec<JobToken>) {
         // Back to front: drives, disk controllers, loop, array controller,
         // FC switch.
-        for i in 0..self.spec.disks as usize {
-            self.scratch.clear();
-            self.disk_drive[i].tick(now, dt, &mut self.scratch);
-            let done = std::mem::take(&mut self.scratch);
-            for token in done {
-                self.join_stripe(token, completed);
+        if self.outstanding.is_empty() {
+            // No job is past the loop, so no stripe sits at any disk:
+            // each disk queue's tick would be an empty one, which draws
+            // no random number and completes nothing.
+            for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
+                q.account_idle(1, dt);
             }
-        }
-        for i in 0..self.spec.disks as usize {
-            self.scratch.clear();
-            self.disk_ctrl[i].tick(now, dt, &mut self.scratch);
-            let done = std::mem::take(&mut self.scratch);
-            for token in done {
-                if self.rng.bernoulli(self.spec.disk_cache_hit) {
-                    self.join_stripe(token, completed);
-                } else {
-                    let stripe = self.demand_of[&token] / self.spec.disks as f64;
-                    self.disk_drive[i].enqueue(token, stripe, now);
+        } else {
+            for i in 0..self.spec.disks as usize {
+                self.scratch.clear();
+                self.disk_drive[i].tick(now, dt, &mut self.scratch);
+                for token in self.scratch.drain(..) {
+                    Self::join_stripe(&mut self.outstanding, &mut self.demand_of, token, completed);
+                }
+            }
+            for i in 0..self.spec.disks as usize {
+                self.scratch.clear();
+                self.disk_ctrl[i].tick(now, dt, &mut self.scratch);
+                for token in self.scratch.drain(..) {
+                    if self.rng.bernoulli(self.spec.disk_cache_hit) {
+                        Self::join_stripe(
+                            &mut self.outstanding,
+                            &mut self.demand_of,
+                            token,
+                            completed,
+                        );
+                    } else {
+                        let stripe = self.demand_of[&token] / self.spec.disks as f64;
+                        self.disk_drive[i].enqueue(token, stripe, now);
+                    }
                 }
             }
         }
         self.scratch.clear();
         self.fcal.tick(now, dt, &mut self.scratch);
-        let through_loop = std::mem::take(&mut self.scratch);
-        for token in through_loop {
+        for token in self.scratch.drain(..) {
             self.front_stage.remove(&token);
             self.outstanding.insert(token, self.spec.disks);
             let stripe = self.demand_of[&token] / self.spec.disks as f64;
@@ -205,8 +220,7 @@ impl Station for SanModel {
         }
         self.scratch.clear();
         self.dacc.tick(now, dt, &mut self.scratch);
-        let through_ctrl = std::mem::take(&mut self.scratch);
-        for token in through_ctrl {
+        for token in self.scratch.drain(..) {
             if self.rng.bernoulli(self.spec.array_cache_hit) {
                 self.front_stage.remove(&token);
                 self.demand_of.remove(&token);
@@ -219,8 +233,7 @@ impl Station for SanModel {
         }
         self.scratch.clear();
         self.fcsw.tick(now, dt, &mut self.scratch);
-        let through_switch = std::mem::take(&mut self.scratch);
-        for token in through_switch {
+        for token in self.scratch.drain(..) {
             self.front_stage.insert(token, FrontStage::ArrayCtrl);
             let bytes = self.demand_of[&token];
             self.dacc.enqueue(token, bytes, now);

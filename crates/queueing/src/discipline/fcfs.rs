@@ -59,6 +59,12 @@ impl Station for FcfsMulti {
     }
 
     fn tick(&mut self, _now: SimTime, dt: SimDuration, completed: &mut Vec<JobToken>) {
+        if self.is_empty() {
+            // The general path below would record `+0.0` busy and
+            // `servers·dt` elapsed: exactly one idle tick.
+            self.meter.record_idle(self.servers.len() as f64, dt, 1);
+            return;
+        }
         let per_server_budget = self.rate * dt.as_secs_f64();
         if per_server_budget <= 0.0 {
             self.meter.record(0.0, self.servers.len() as f64, dt);
@@ -100,6 +106,10 @@ impl Station for FcfsMulti {
 
     fn in_system(&self) -> usize {
         self.waiting.len() + self.servers.iter().filter(|s| s.is_some()).count()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.waiting.is_empty() && self.servers.iter().all(Option::is_none)
     }
 
     fn evict_all(&mut self, into: &mut Vec<JobToken>) {

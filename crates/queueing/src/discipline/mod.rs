@@ -55,6 +55,12 @@ pub trait Station {
     /// Number of jobs currently in the system (waiting + in service).
     fn in_system(&self) -> usize;
 
+    /// Whether the station holds no job: `in_system() == 0`, answered
+    /// without counting where a station can stop at its first job.
+    fn is_empty(&self) -> bool {
+        self.in_system() == 0
+    }
+
     /// Removes every job from the station, pushing the evicted tokens onto
     /// `into` in a deterministic order (service slots first, then waiters
     /// in FIFO order; composite stations emit their canonical job set in

@@ -72,6 +72,11 @@ impl Station for PsQueue {
     }
 
     fn tick(&mut self, _now: SimTime, dt: SimDuration, completed: &mut Vec<JobToken>) {
+        if self.is_empty() {
+            // The general path would record `+0.0` busy over one server.
+            self.meter.record_idle(1.0, dt, 1);
+            return;
+        }
         let total_budget = self.rate * dt.as_secs_f64();
         let mut budget = total_budget;
         self.promote_waiting();

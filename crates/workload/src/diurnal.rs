@@ -60,7 +60,14 @@ impl DiurnalCurve {
 
     /// Active clients at GMT time `t`.
     pub fn population(&self, t: SimTime) -> f64 {
-        let local = (t.hour_of_day() + self.tz_offset_hours).rem_euclid(24.0);
+        self.population_at_gmt_hour(t.hour_of_day())
+    }
+
+    /// Active clients at GMT hour of day `hour` (`t.hour_of_day()`), so
+    /// a caller evaluating many curves at one instant computes the hour
+    /// once.
+    pub fn population_at_gmt_hour(&self, hour: f64) -> f64 {
+        let local = (hour + self.tz_offset_hours).rem_euclid(24.0);
         self.population_at_local_hour(local)
     }
 
@@ -122,7 +129,12 @@ impl HourlyTable {
 
     /// Population at GMT time `t`.
     pub fn population(&self, t: SimTime) -> f64 {
-        self.population_at_local_hour(t.hour_of_day() + self.tz_offset_hours)
+        self.population_at_gmt_hour(t.hour_of_day())
+    }
+
+    /// Population at GMT hour of day `hour` (`t.hour_of_day()`).
+    pub fn population_at_gmt_hour(&self, hour: f64) -> f64 {
+        self.population_at_local_hour(hour + self.tz_offset_hours)
     }
 }
 
@@ -140,9 +152,14 @@ pub enum PopulationCurve {
 impl PopulationCurve {
     /// Population at GMT time `t`.
     pub fn population(&self, t: SimTime) -> f64 {
+        self.population_at_gmt_hour(t.hour_of_day())
+    }
+
+    /// Population at GMT hour of day `hour` (`t.hour_of_day()`).
+    pub fn population_at_gmt_hour(&self, hour: f64) -> f64 {
         match self {
-            PopulationCurve::Trapezoid(c) => c.population(t),
-            PopulationCurve::Hourly(h) => h.population(t),
+            PopulationCurve::Trapezoid(c) => c.population_at_gmt_hour(hour),
+            PopulationCurve::Hourly(h) => h.population_at_gmt_hour(hour),
         }
     }
 }
@@ -184,7 +201,14 @@ pub struct AppWorkload {
 impl AppWorkload {
     /// Arrival rate (operations/second) from one site at time `t`.
     pub fn arrival_rate(&self, site_idx: usize, t: SimTime) -> f64 {
-        self.sites[site_idx].curve.population(t) * self.ops_per_client_per_hour / 3600.0
+        self.arrival_rate_at_gmt_hour(site_idx, t.hour_of_day())
+    }
+
+    /// Arrival rate (operations/second) from one site at GMT hour of day
+    /// `hour` (`t.hour_of_day()`).
+    pub fn arrival_rate_at_gmt_hour(&self, site_idx: usize, hour: f64) -> f64 {
+        self.sites[site_idx].curve.population_at_gmt_hour(hour) * self.ops_per_client_per_hour
+            / 3600.0
     }
 
     /// Total active population across sites at `t`.
@@ -213,6 +237,14 @@ impl ArrivalSampler {
     /// the simulator are far below that; the approximation only guards
     /// degenerate configurations).
     pub fn poisson(&mut self, lambda: f64) -> u32 {
+        self.poisson_with_exp(lambda, (-lambda).exp())
+    }
+
+    /// [`poisson`](Self::poisson) with `l = e^-lambda` supplied by the
+    /// caller, which may keep it while `lambda` stays the same: the draw
+    /// and the generator state after it equal `poisson(lambda)`'s when
+    /// `l` is `(-lambda).exp()`.
+    pub fn poisson_with_exp(&mut self, lambda: f64, l: f64) -> u32 {
         if lambda <= 0.0 {
             return 0;
         }
@@ -222,7 +254,6 @@ impl ArrivalSampler {
             let z = (-2.0 * u1.max(1e-12).ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
             return (lambda + lambda.sqrt() * z).round().max(0.0) as u32;
         }
-        let l = (-lambda).exp();
         let mut k = 0u32;
         let mut p = 1.0;
         loop {
@@ -363,6 +394,55 @@ mod tests {
             let back: PopulationCurve = serde_json::from_str(&json).unwrap();
             assert_eq!(*c, back);
         }
+    }
+
+    #[test]
+    fn rate_at_the_step_hour_is_bit_identical_to_rate_at_the_instant() {
+        // Trapezoids and tables, east and west of GMT (half-hour zones
+        // included), at every 10 ms step of two days.
+        let table: Vec<f64> = (0..24).map(|h| (h * 37 % 24) as f64 * 12.5).collect();
+        let wl = AppWorkload {
+            app: "CAD".into(),
+            sites: [
+                DiurnalCurve::business_day(-5.0, 40.0, 800.0).into(),
+                DiurnalCurve::business_day(9.5, 3.0, 120.0).into(),
+                HourlyTable::new(-3.5, table.clone()).into(),
+                HourlyTable::new(10.0, table).into(),
+            ]
+            .into_iter()
+            .map(|curve| SiteLoad {
+                site: "S".into(),
+                curve,
+            })
+            .collect(),
+            ops_per_client_per_hour: 7.0,
+        };
+        for step in 0..48 * 360_000u64 {
+            let t = SimTime::from_millis(step * 10);
+            let hour = t.hour_of_day();
+            for s in 0..wl.sites.len() {
+                assert_eq!(
+                    wl.arrival_rate_at_gmt_hour(s, hour).to_bits(),
+                    wl.arrival_rate(s, t).to_bits(),
+                    "site {s} at {t:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn poisson_with_precomputed_exp_draws_the_same_stream() {
+        let mut a = ArrivalSampler::new(19);
+        let mut b = ArrivalSampler::new(19);
+        for i in 1..=30_000u32 {
+            let lambda = f64::from(i) * 1e-3;
+            assert_eq!(
+                a.poisson(lambda),
+                b.poisson_with_exp(lambda, (-lambda).exp()),
+                "lambda {lambda}"
+            );
+        }
+        assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
     }
 
     #[test]
