@@ -361,6 +361,41 @@ mod tests {
         let done = run(&mut s, 5000);
         assert_eq!(done.len(), 100);
     }
+
+    /// Length and FNV-1a 64 hash of `bytes`, as `len:hash`.
+    fn digest(bytes: &[u8]) -> String {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in bytes {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        format!("{}:{h:016x}", bytes.len())
+    }
+
+    #[test]
+    fn checkpoint_bytes_with_every_front_queue_busy_match_golden() {
+        // 6 MB requests: the switch passes ~1.7 per 10 ms tick, the array
+        // controller ~0.8 and the loop ~0.4, so after six ticks jobs wait
+        // at every front stage while another is striped over the disks.
+        let spec = SanSpec {
+            array_cache_hit: 0.25,
+            fc_loop_rate: gbps(2.0),
+            ..spec_no_cache(4)
+        };
+        let mut s = SanModel::new(spec, 7);
+        for i in 0..12 {
+            s.enqueue(JobToken(i), 6e6, SimTime::ZERO);
+        }
+        let done = run(&mut s, 6);
+        assert!(!s.fcsw.is_empty() && !s.dacc.is_empty() && !s.fcal.is_empty());
+        assert!(!s.outstanding.is_empty(), "no job reached the disks");
+        assert_eq!(done.len() + s.in_system(), 12);
+        assert_eq!(
+            digest(&gdisim_snap::to_bytes(&s)),
+            "1189:dfcc9f187c272d83",
+            "SAN checkpoint bytes moved"
+        );
+    }
 }
 
 // Checkpoint support.

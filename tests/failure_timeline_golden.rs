@@ -5,7 +5,8 @@
 //! series-only validation run, where the traffic scan runs only when a
 //! series launch is due, and a cancellation-heavy run whose timeout and
 //! retry calendars churn constantly (with its mid-run engine bytes,
-//! which carry the calendars' contents).
+//! which carry the calendars' contents). A last case pins a validation
+//! run's mid-run engine bytes, which carry its shared SANs' queues.
 //!
 //! Each case pins two FNV-1a 64 digests: one of the snap encoding of
 //! the final [`Report`](gdisim_core::Report), one of the JSONL export
@@ -186,5 +187,21 @@ fn cancellation_heavy_run_matches_golden() {
         "cancellation-heavy plan",
         (&report, &trace),
         ("3285:c41c48d90e54603b", "344900:2a59f3a1fb38c2ef"),
+    );
+}
+
+/// (g) The mid-run engine bytes of the heaviest validation experiment,
+/// whose database and file tiers each share one SAN. At 11:15
+/// simulated the two SANs hold requests at the switch, the array
+/// controller and the loop, so the bytes carry every kind of entry of
+/// the SAN's per-job front-stage map.
+#[test]
+fn validation_mid_run_engine_bytes_match_golden() {
+    let mut sim = validation::build(validation::EXPERIMENTS[2], 42);
+    sim.run_until(SimTime::from_secs(675));
+    assert_eq!(
+        digest(&gdisim_snap::to_bytes(&sim)),
+        "118543:63f505283f85d9a4",
+        "validation experiment 3: mid-run engine bytes moved"
     );
 }
