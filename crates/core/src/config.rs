@@ -106,8 +106,9 @@ impl gdisim_snap::Snap for MasterPolicy {
 
 // The executor is deliberately not serialized: thread pools cannot be
 // captured, and bit-identity does not depend on the execution strategy.
-// A restored config starts serial; the CLI re-applies its own executor
-// flags after loading.
+// A restored config starts serial, so a run resumed by `gdisim` (which
+// has no executor flag) is serial; a library caller can pick another
+// executor with `Simulation::set_executor` after loading.
 impl gdisim_snap::Snap for SimulationConfig {
     fn save(&self, w: &mut gdisim_snap::SnapWriter) {
         gdisim_snap::Snap::save(&self.dt, w);

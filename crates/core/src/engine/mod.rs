@@ -817,7 +817,7 @@ impl Simulation {
 //   serialized (a resumed run starts with an empty recorder); the trace
 //   log and the auditor keep their own encode positions.
 // * `config.executor` — thread pools cannot cross a process boundary;
-//   the CLI re-applies its executor flags after restore.
+//   a restored run is serial until `set_executor` picks another.
 //
 // `panic_at` (the supervision test hook) is also skipped: a checkpoint
 // taken before an injected crash must resume past it, exactly like a

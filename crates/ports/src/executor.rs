@@ -6,9 +6,7 @@
 //! [`Executor`] selects the strategy: serial (the fast default for small
 //! models and tests), classic Scatter-Gather, or H-Dispatch.
 
-use crate::hdispatch::HDispatchPool;
-use crate::scatter_gather::ScatterGatherPool;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::dispatch_pool::DispatchPool;
 
 /// Snapshot of a pooled executor's dispatch activity since creation.
 ///
@@ -26,41 +24,15 @@ pub struct ExecutorStats {
     pub items: u64,
 }
 
-/// Shared atomic counters behind [`ExecutorStats`]. Cloned pools (the
-/// engine clones its executor every step) share one instance through an
-/// `Arc`, so stats aggregate per pool, not per clone.
-#[derive(Debug, Default)]
-pub(crate) struct DispatchCounters {
-    phases: AtomicU64,
-    items: AtomicU64,
-}
-
-impl DispatchCounters {
-    /// Accounts one phase dispatch of `items` work items.
-    pub(crate) fn note_phase(&self, items: u64) {
-        self.phases.fetch_add(1, Ordering::Relaxed);
-        self.items.fetch_add(items, Ordering::Relaxed);
-    }
-
-    /// Reads the counters.
-    pub(crate) fn snapshot(&self) -> ExecutorStats {
-        ExecutorStats {
-            phases: self.phases.load(Ordering::Relaxed),
-            items: self.items.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// How per-agent phase work is executed.
 #[derive(Debug, Clone, Default)]
 pub enum Executor {
     /// Single-threaded in-place iteration.
     #[default]
     Serial,
-    /// One work item per agent through a shared queue (Table 4.1).
-    ScatterGather(ScatterGatherPool),
-    /// Agent sets pulled from a global queue (Table 4.2).
-    HDispatch(HDispatchPool),
+    /// Work units pulled from a shared cursor by persistent workers:
+    /// Scatter-Gather (Table 4.1) or H-Dispatch (Table 4.2).
+    Pooled(DispatchPool),
 }
 
 impl Executor {
@@ -71,20 +43,19 @@ impl Executor {
 
     /// Classic Scatter-Gather over `threads` workers.
     pub fn scatter_gather(threads: usize) -> Self {
-        Executor::ScatterGather(ScatterGatherPool::new(threads))
+        Executor::Pooled(DispatchPool::scatter_gather(threads))
     }
 
     /// H-Dispatch over `threads` workers with the given agent-set size.
     pub fn hdispatch(threads: usize, agent_set: usize) -> Self {
-        Executor::HDispatch(HDispatchPool::new(threads, agent_set))
+        Executor::Pooled(DispatchPool::hdispatch(threads, agent_set))
     }
 
     /// A short name for reports ("serial", "scatter-gather", "h-dispatch").
     pub fn name(&self) -> &'static str {
         match self {
             Executor::Serial => "serial",
-            Executor::ScatterGather(_) => "scatter-gather",
-            Executor::HDispatch(_) => "h-dispatch",
+            Executor::Pooled(p) => p.name(),
         }
     }
 
@@ -92,8 +63,7 @@ impl Executor {
     pub fn threads(&self) -> usize {
         match self {
             Executor::Serial => 1,
-            Executor::ScatterGather(p) => p.threads(),
-            Executor::HDispatch(p) => p.threads(),
+            Executor::Pooled(p) => p.threads(),
         }
     }
 
@@ -102,8 +72,7 @@ impl Executor {
     pub fn stats(&self) -> Option<ExecutorStats> {
         match self {
             Executor::Serial => None,
-            Executor::ScatterGather(p) => Some(p.stats()),
-            Executor::HDispatch(p) => Some(p.stats()),
+            Executor::Pooled(p) => Some(p.stats()),
         }
     }
 
@@ -121,8 +90,7 @@ impl Executor {
                     f(a);
                 }
             }
-            Executor::ScatterGather(pool) => pool.run_phase(agents, &f),
-            Executor::HDispatch(pool) => pool.run_phase(agents, &f),
+            Executor::Pooled(pool) => pool.run_phase(agents, &f),
         }
     }
 
@@ -146,8 +114,7 @@ impl Executor {
                     f(&mut agents[i as usize]);
                 }
             }
-            Executor::ScatterGather(pool) => pool.run_phase_indexed(agents, indices, &f),
-            Executor::HDispatch(pool) => pool.run_phase_indexed(agents, indices, &f),
+            Executor::Pooled(pool) => pool.run_phase_indexed(agents, indices, &f),
         }
     }
 }

@@ -1,41 +1,27 @@
-//! Port-based asynchronous messaging runtime (Ch. 4 of the paper).
+//! Phase executors of the simulation engine (Ch. 4 of the paper).
 //!
-//! The original GDISim is built on Microsoft's Concurrency & Coordination
-//! Runtime: *active messages* carry the address of their handler, *ports*
-//! are the only entry points to agent state, an *arbiter* pairs message
-//! payloads with handlers into work items, and a *dispatcher* thread pool
-//! executes them. On top of the ports sit *coordination primitives*
-//! (single/multiple-item receivers, join, choice, interleave) from which
-//! the simulation engine's Scatter-Gather and H-Dispatch orchestration
-//! mechanisms are assembled.
+//! The original GDISim runs its agents on Microsoft's Concurrency &
+//! Coordination Runtime, building Scatter-Gather and H-Dispatch from
+//! ports, arbiters and a dispatcher thread pool. What Tables 4.1 and 4.2
+//! compare is how many agents each dispatched work item carries, so this
+//! crate keeps only that: every phase is a bag of work units pulled from
+//! one shared cursor by persistent workers.
 //!
-//! This crate reproduces that stack in Rust:
-//!
-//! * [`dispatch::Dispatcher`] — a persistent worker-thread pool executing
-//!   boxed work items (the CCR dispatcher of Fig. 4-1);
-//! * [`port::Port`] — a typed message endpoint whose registered handler
-//!   runs on the dispatcher when a message is posted;
-//! * [`coordination`] — the five primitives of §4.2.3;
-//! * [`scatter_gather`] and [`hdispatch`] — the two agent-orchestration
-//!   mechanisms compared in Tables 4.1 and 4.2, exposed through the
-//!   engine-facing [`Executor`] enum.
+//! * [`PhasePool`] — the persistent worker pool and its shared cursor;
+//! * [`DispatchPool`] — Scatter-Gather and H-Dispatch on a phase pool,
+//!   differing only in unit size, exposed to the engine through the
+//!   [`Executor`] enum;
+//! * [`ShardedPool`] — whole shard windows as work units, for the
+//!   sharded engine.
 
 #![warn(missing_docs)]
 
-pub mod coordination;
-pub mod dispatch;
+pub mod dispatch_pool;
 pub mod executor;
-pub mod hdispatch;
 pub mod pool;
-pub mod port;
-pub mod scatter_gather;
 pub mod sharded;
 
-pub use coordination::{Choice, Either, Interleave, JoinReceiver, MultipleItemReceiver};
-pub use dispatch::Dispatcher;
+pub use dispatch_pool::DispatchPool;
 pub use executor::{Executor, ExecutorStats};
-pub use hdispatch::HDispatchPool;
 pub use pool::{panic_message, PhasePool, UnitPanic};
-pub use port::Port;
-pub use scatter_gather::ScatterGatherPool;
 pub use sharded::{ShardPanic, ShardedPool};

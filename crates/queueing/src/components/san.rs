@@ -69,7 +69,9 @@ impl SanSpec {
     }
 }
 
-/// Progress of a job through the SAN front-end.
+/// Where a job sits in the SAN front-end. Only the checkpoint encoding
+/// names it: the front queue holding a job already says which stage it
+/// is at.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum FrontStage {
     Switch,
@@ -86,7 +88,6 @@ pub struct SanModel {
     fcal: FcfsMulti,
     disk_ctrl: Vec<FcfsMulti>,
     disk_drive: Vec<FcfsMulti>,
-    front_stage: HashMap<JobToken, FrontStage>,
     demand_of: HashMap<JobToken, f64>,
     outstanding: HashMap<JobToken, u32>,
     rng: SplitMix64,
@@ -106,7 +107,6 @@ impl SanModel {
             disk_drive: (0..spec.disks)
                 .map(|_| FcfsMulti::new(1, spec.disk_rate))
                 .collect(),
-            front_stage: HashMap::new(),
             demand_of: HashMap::new(),
             outstanding: HashMap::new(),
             rng: SplitMix64::new(seed),
@@ -167,7 +167,6 @@ impl SanModel {
 
 impl Station for SanModel {
     fn enqueue(&mut self, token: JobToken, bytes: f64, now: SimTime) {
-        self.front_stage.insert(token, FrontStage::Switch);
         self.demand_of.insert(token, bytes);
         self.fcsw.enqueue(token, bytes, now);
     }
@@ -211,7 +210,6 @@ impl Station for SanModel {
         self.scratch.clear();
         self.fcal.tick(now, dt, &mut self.scratch);
         for token in self.scratch.drain(..) {
-            self.front_stage.remove(&token);
             self.outstanding.insert(token, self.spec.disks);
             let stripe = self.demand_of[&token] / self.spec.disks as f64;
             for ctrl in &mut self.disk_ctrl {
@@ -222,11 +220,9 @@ impl Station for SanModel {
         self.dacc.tick(now, dt, &mut self.scratch);
         for token in self.scratch.drain(..) {
             if self.rng.bernoulli(self.spec.array_cache_hit) {
-                self.front_stage.remove(&token);
                 self.demand_of.remove(&token);
                 completed.push(token);
             } else {
-                self.front_stage.insert(token, FrontStage::Loop);
                 let bytes = self.demand_of[&token];
                 self.fcal.enqueue(token, bytes, now);
             }
@@ -234,7 +230,6 @@ impl Station for SanModel {
         self.scratch.clear();
         self.fcsw.tick(now, dt, &mut self.scratch);
         for token in self.scratch.drain(..) {
-            self.front_stage.insert(token, FrontStage::ArrayCtrl);
             let bytes = self.demand_of[&token];
             self.dacc.enqueue(token, bytes, now);
         }
@@ -275,7 +270,6 @@ impl Station for SanModel {
         let mut jobs: Vec<JobToken> = self.demand_of.drain().map(|(t, _)| t).collect();
         jobs.sort_unstable();
         into.append(&mut jobs);
-        self.front_stage.clear();
         self.outstanding.clear();
     }
 }
@@ -399,6 +393,8 @@ mod tests {
 }
 
 // Checkpoint support.
+use gdisim_snap::{Snap, SnapError, SnapReader, SnapWriter};
+
 gdisim_snap::snap_enum!(FrontStage {
     0 => Switch,
     1 => ArrayCtrl,
@@ -414,16 +410,50 @@ gdisim_snap::snap_struct!(SanSpec {
     disk_cache_hit,
     disk_rate,
 });
-gdisim_snap::snap_struct!(SanModel {
-    spec,
-    fcsw,
-    dacc,
-    fcal,
-    disk_ctrl,
-    disk_drive,
-    front_stage,
-    demand_of,
-    outstanding,
-    rng,
-    scratch,
-});
+// The encoding keeps the per-job front-stage map the model once stored,
+// at its old position, so checkpoints stay byte-identical: `save`
+// derives it from the three front queues and `load` discards it.
+impl Snap for SanModel {
+    fn save(&self, w: &mut SnapWriter) {
+        self.spec.save(w);
+        self.fcsw.save(w);
+        self.dacc.save(w);
+        self.fcal.save(w);
+        self.disk_ctrl.save(w);
+        self.disk_drive.save(w);
+        let front_stage: HashMap<JobToken, FrontStage> = self
+            .fcsw
+            .tokens()
+            .map(|t| (t, FrontStage::Switch))
+            .chain(self.dacc.tokens().map(|t| (t, FrontStage::ArrayCtrl)))
+            .chain(self.fcal.tokens().map(|t| (t, FrontStage::Loop)))
+            .collect();
+        front_stage.save(w);
+        self.demand_of.save(w);
+        self.outstanding.save(w);
+        self.rng.save(w);
+        self.scratch.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let spec = Snap::load(r)?;
+        let fcsw = Snap::load(r)?;
+        let dacc = Snap::load(r)?;
+        let fcal = Snap::load(r)?;
+        let disk_ctrl = Snap::load(r)?;
+        let disk_drive = Snap::load(r)?;
+        HashMap::<JobToken, FrontStage>::load(r)?;
+        Ok(SanModel {
+            spec,
+            fcsw,
+            dacc,
+            fcal,
+            disk_ctrl,
+            disk_drive,
+            demand_of: Snap::load(r)?,
+            outstanding: Snap::load(r)?,
+            rng: Snap::load(r)?,
+            scratch: Snap::load(r)?,
+        })
+    }
+}

@@ -51,6 +51,15 @@ impl FcfsMulti {
     pub fn waiting_len(&self) -> usize {
         self.waiting.len()
     }
+
+    /// Tokens of every job in the queue, in service or waiting.
+    pub(crate) fn tokens(&self) -> impl Iterator<Item = JobToken> + '_ {
+        self.servers
+            .iter()
+            .flatten()
+            .chain(&self.waiting)
+            .map(|j| j.token)
+    }
 }
 
 impl Station for FcfsMulti {
