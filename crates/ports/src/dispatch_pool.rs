@@ -140,10 +140,11 @@ impl DispatchPool {
     }
 
     /// Applies `f` to the agents selected by `indices` (strictly
-    /// ascending), the index list cut into contiguous units: batched
-    /// ranges under Scatter-Gather (see [`Self::indexed_unit`]), agent
-    /// sets under H-Dispatch. Nothing is allocated: unit `u` walks its
-    /// chunk of the index list and dereferences agents in place.
+    /// ascending), the index list cut into contiguous units: ranges of
+    /// `max(len / (threads * 4), MIN_RANGE)` indices under
+    /// Scatter-Gather, agent sets under H-Dispatch. Nothing is
+    /// allocated: unit `u` walks its chunk of the index list and
+    /// dereferences agents in place.
     ///
     /// # Panics
     /// Panics if `indices` is not strictly ascending or out of range.
