@@ -2,14 +2,23 @@
 //! series type, measured by running one isolated series on the otherwise
 //! idle downscaled infrastructure (the paper's definition of canonical
 //! cost, §3.2).
+//!
+//! Its closing table is A2, §4.3.1's rule that dt must sit an order of
+//! magnitude below the canonical costs: for each dt, the accuracy of the
+//! Average series and the cost of 60 simulated seconds of validation
+//! experiment 1 (seed 7, built outside the clock, median of
+//! `DT_COST_SAMPLES` runs).
 
-use gdisim_bench::{print_table, write_csv};
-use gdisim_core::scenarios::validation;
+use gdisim_bench::{print_table, sample, write_csv};
+use gdisim_core::scenarios::validation::{self, EXPERIMENTS};
 use gdisim_core::Simulation;
 use gdisim_metrics::ResponseKey;
 use gdisim_types::{AppId, DcId, OpTypeId, SimDuration, SimTime};
 use gdisim_workload::series::{canonical_duration, CAD_OP_NAMES};
 use gdisim_workload::{Catalog, SeriesKind};
+
+/// Timed runs behind each dt's cost.
+const DT_COST_SAMPLES: usize = 10;
 
 fn isolated_series(kind: SeriesKind) -> Vec<f64> {
     isolated_series_dt(kind, SimDuration::from_millis(10))
@@ -96,12 +105,13 @@ fn main() {
         );
     }
 
-    // A2 (accuracy side): per-message tick quantization grows with dt.
-    // §4.3.1 demands dt an order of magnitude below the canonical costs —
-    // per *message*, as this sweep shows.
+    // A2: per-message tick quantization grows with dt, and so does the
+    // error. §4.3.1 demands dt an order of magnitude below the canonical
+    // costs — per *message*, as this sweep shows — and the cost column
+    // prices each refinement.
     println!(
         "
-A2 — dt sensitivity of canonical accuracy (Average series)"
+A2 — dt sensitivity of canonical accuracy and run cost (Average series)"
     );
     let paper_total: f64 = (0..8)
         .map(|op| canonical_duration(op, SeriesKind::Average))
@@ -119,16 +129,35 @@ A2 — dt sensitivity of canonical accuracy (Average series)"
                 .abs()
             })
             .fold(0.0f64, f64::max);
+        let cost = sample(
+            DT_COST_SAMPLES,
+            || {
+                let mut sim = validation::build(EXPERIMENTS[0], 7);
+                sim.set_dt(SimDuration::from_millis(dt_ms));
+                sim
+            },
+            |sim| {
+                sim.run_until(SimTime::from_secs(60));
+                sim.active_operations()
+            },
+        );
         rows.push(vec![
             format!("{dt_ms} ms"),
             format!("{total:.2}"),
             format!("{:+.1}%", (total - paper_total) / paper_total * 100.0),
             format!("{:.1}%", worst * 100.0),
+            format!("{:.1}", cost.median * 1e3),
         ]);
     }
-    let headers = vec!["dt", "series total (s)", "total err", "worst op err"];
+    let headers = vec![
+        "dt",
+        "series total (s)",
+        "total err",
+        "worst op err",
+        "60 sim-s cost (ms)",
+    ];
     print_table(
-        "A2 — canonical-duration error vs time step",
+        "A2 — canonical-duration error and run cost vs time step",
         &headers,
         &rows,
     );

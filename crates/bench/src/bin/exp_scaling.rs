@@ -30,16 +30,12 @@
 //!   sets into serial execution without load balancing; the paper fixes
 //!   64 ("an Agent Set of size 64 delivered the best results", §4.3.5).
 
-use gdisim_bench::{print_table, write_csv};
+use gdisim_bench::{one_dc_topology, print_table, sample, write_csv};
 use gdisim_core::scenarios::rates;
 use gdisim_core::{MasterPolicy, Simulation, SimulationConfig};
-use gdisim_infra::{
-    ClientAccessSpec, DataCenterSpec, Infrastructure, TierSpec, TierStorageSpec, TopologySpec,
-};
+use gdisim_infra::{Infrastructure, TierSpec, TierStorageSpec, TopologySpec};
 use gdisim_ports::Executor;
-use gdisim_queueing::SwitchSpec;
-use gdisim_types::units::gbps;
-use gdisim_types::{AppId, SimDuration, SimTime, TierKind};
+use gdisim_types::{AppId, SimDuration, SimTime};
 use gdisim_workload::{Catalog, SeriesKind};
 use std::time::Instant;
 
@@ -51,7 +47,7 @@ const STREAMS: u64 = 16;
 const PHASE_SAMPLES: usize = 200;
 
 fn scaling_topology() -> TopologySpec {
-    let tier = |kind| TierSpec {
+    one_dc_topology(100.0, |kind| TierSpec {
         kind,
         servers: 32,
         cpu: rates::cpu(1, 2),
@@ -59,25 +55,7 @@ fn scaling_topology() -> TopologySpec {
         nic: rates::nic(),
         lan: rates::lan(),
         storage: TierStorageSpec::PerServerRaid(rates::raid(0.0)),
-    };
-    TopologySpec {
-        data_centers: vec![DataCenterSpec {
-            name: "NA".into(),
-            switch: SwitchSpec::new(gbps(100.0)),
-            tiers: vec![
-                tier(TierKind::App),
-                tier(TierKind::Db),
-                tier(TierKind::Fs),
-                tier(TierKind::Idx),
-            ],
-            clients: ClientAccessSpec {
-                link: rates::client_access(),
-                client_clock_hz: rates::CLIENT_CLOCK_HZ,
-            },
-        }],
-        relay_sites: vec![],
-        wan_links: vec![],
-    }
+    })
 }
 
 fn run_with(executor: Executor) -> f64 {
@@ -118,16 +96,13 @@ fn phase_median_us(executor: &Executor, agents: u64) -> f64 {
     for _ in 0..PHASE_SAMPLES {
         executor.run_phase(&mut population, fake_tick);
     }
-    let mut us: Vec<f64> = (0..PHASE_SAMPLES)
-        .map(|_| {
-            let t0 = Instant::now();
-            executor.run_phase(&mut population, fake_tick);
-            t0.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
+    let phases = sample(
+        PHASE_SAMPLES,
+        || (),
+        |_| executor.run_phase(&mut population, fake_tick),
+    );
     std::hint::black_box(&population);
-    us.sort_by(f64::total_cmp);
-    us[PHASE_SAMPLES / 2]
+    phases.median * 1e6
 }
 
 fn main() {

@@ -70,11 +70,12 @@
 //! of the plain step loop — robustness must be free when unused.
 //! Finally, operation tracing sampled at 1% must stay within 5% of the
 //! untraced run — observability at production rates must be near-free.
-//! Those two timing checks compare best-of-5 consolidated 30 sim-s runs
-//! of under 10 ms each, so host noise can move either side by more than
-//! the budget; each prints both sides' minimum and median.
+//! Those two timing checks compare the medians of consolidated 30 sim-s
+//! runs of under 10 ms each, timed in alternating pairs with the side
+//! that runs first swapped every pair, so a slow phase of the host lands
+//! on both sides alike; each prints both sides' minimum and quartiles.
 
-use gdisim_bench::{json_escape, print_table, write_csv, write_json};
+use gdisim_bench::{json_escape, print_table, sample, write_csv, write_json, Summary};
 use gdisim_core::scenarios::{churned, consolidated, faulted, rates, validation};
 use gdisim_core::{
     ChurnProcess, EventClass, FaultAction, FaultEvent, FaultPlan, FaultTarget, InFlightPolicy,
@@ -84,7 +85,6 @@ use gdisim_infra::Infrastructure;
 use gdisim_ports::Executor;
 use gdisim_types::{AppId, SimDuration, SimTime};
 use gdisim_workload::{Catalog, RetryPolicy, SeriesKind};
-use std::time::Instant;
 
 /// Periodic sources in the idle-heavy scenario. Enough that the polling
 /// loop's per-step source sweep is the dominant phase-1 cost.
@@ -94,6 +94,15 @@ const SPARSE_SOURCES: u64 = 1024;
 /// the 2902 measured before settled attempts' dead deadlines were
 /// dropped at settle time.
 const NOOP_BUDGET: u64 = 290;
+
+/// Timed runs per configuration of the benchmark tables, each reported
+/// by its minimum: the runs are short (single-digit to tens of
+/// milliseconds), so the least-interfered sample is the stablest
+/// estimator under scheduler noise, and both sides of every ratio use it.
+const REPS: usize = 5;
+
+/// Alternating pairs behind each `--check` timing budget.
+const PAIRS: usize = 10;
 
 /// An idle-heavy lab: many long-interval series on the small validation
 /// topology. With 30–90 s intervals against a 10 ms step, far fewer
@@ -259,55 +268,50 @@ fn gating_stats(build: fn(u64) -> Simulation, horizon_secs: u64, poll: bool) -> 
     g
 }
 
-/// Wall milliseconds of repeated runs of one configuration.
-struct Reps(Vec<f64>);
+/// Wall milliseconds of `reps` full runs, each set up by `configure`
+/// before the clock starts.
+fn measure(
+    build: fn(u64) -> Simulation,
+    horizon_secs: u64,
+    reps: usize,
+    configure: impl Fn(&mut Simulation),
+) -> Summary {
+    sample(
+        reps,
+        || {
+            let mut sim = build(42);
+            configure(&mut sim);
+            sim
+        },
+        |sim| {
+            sim.run_until(SimTime::from_secs(horizon_secs));
+            sim.active_operations()
+        },
+    )
+    .scaled(1e3)
+}
 
-impl Reps {
-    /// The least-interfered sample. The runs are short (single-digit to
-    /// tens of milliseconds), so the minimum is a far stabler estimator
-    /// than the median under scheduler noise, and both sides of every
-    /// before/after ratio use it.
-    fn min(&self) -> f64 {
-        self.0.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// The middle sample (the upper one of an even count): printed
-    /// beside the minimum so host noise can be told from a regression.
-    fn median(&self) -> f64 {
-        let mut v = self.0.clone();
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
+/// Runs under `executor` in the *before* loop (`dense`: every phase-1
+/// source polled and every agent ticked every step, the seed loop all
+/// the event-indexed machinery replaced) or the *after* loop, the
+/// default: due-time gated drains over the active set.
+fn step_loop(executor: &Executor, dense: bool) -> impl Fn(&mut Simulation) + '_ {
+    move |sim| {
+        sim.set_executor(executor.clone());
+        sim.set_always_poll(dense);
+        sim.set_always_tick(dense);
     }
 }
 
-/// Wall milliseconds of 5 full runs.
-///
-/// `dense` selects the *before* loop: every phase-1 source polled and
-/// every agent ticked every step (`always_poll` + `always_tick`, the
-/// seed loop all the event-indexed machinery replaced). The *after*
-/// loop is the default: due-time gated drains over the active set.
-fn measure(
-    build: fn(u64) -> Simulation,
-    executor: &Executor,
-    horizon_secs: u64,
-    dense: bool,
-) -> Reps {
-    let reps = 5;
-    let samples = (0..reps)
-        .map(|_| {
-            let mut sim = build(42);
-            sim.set_executor(executor.clone());
-            if dense {
-                sim.set_always_poll(true);
-                sim.set_always_tick(true);
-            }
-            let start = Instant::now();
-            sim.run_until(SimTime::from_secs(horizon_secs));
-            std::hint::black_box(sim.active_operations());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    Reps(samples)
+/// Runs of the scenario as built: serial, gated, untraced.
+fn as_built(_: &mut Simulation) {}
+
+/// Runs with causal operation tracing sampled at `rate`. The sampler
+/// decides once per operation at launch, so a low rate skips the span
+/// bookkeeping for almost every operation; against [`as_built`] runs this
+/// prices exactly what `--trace-ops RATE` adds.
+fn traced(rate: f64) -> impl Fn(&mut Simulation) {
+    move |sim| sim.enable_optrace(rate)
 }
 
 /// Wall ms of repeated serial gated-mode runs through the
@@ -315,23 +319,26 @@ fn measure(
 /// supervision, with the paranoid auditor and periodic atomic
 /// checkpoint writes individually toggled. With both features off this
 /// is exactly what every ordinary `gdisim run` now executes, so
-/// `measure_robust(b, h, false, None)` against `measure(...)` prices
-/// the supervision plumbing itself.
+/// `measure_robust(b, h, false, None, n)` against
+/// `measure(b, h, n, as_built)` prices the supervision plumbing itself.
 fn measure_robust(
     build: fn(u64) -> Simulation,
     horizon_secs: u64,
     paranoid: bool,
     ckpt_every_secs: Option<u64>,
-) -> Reps {
-    let reps = 5;
+    reps: usize,
+) -> Summary {
     let dir = std::env::temp_dir().join(format!("gdisim-bench-ckpt-{}", std::process::id()));
     let horizon = SimTime::from_secs(horizon_secs);
     let every = ckpt_every_secs.map(SimDuration::from_secs);
-    let samples = (0..reps)
-        .map(|_| {
+    let ms = sample(
+        reps,
+        || {
             let mut sim = build(42);
             sim.set_paranoid(paranoid);
-            let start = Instant::now();
+            sim
+        },
+        |sim| {
             let mut next = every.map(|e| SimTime::ZERO + e);
             loop {
                 let target = match next {
@@ -344,39 +351,31 @@ fn measure_robust(
                     break;
                 }
                 let path = gdisim_core::snapshot::checkpoint_path(&dir, "bench", sim.now());
-                Snapshot::write_serial(&path, "bench", 42, &sim)
-                    .expect("checkpoint write succeeds");
+                Snapshot::write_serial(&path, "bench", 42, sim).expect("checkpoint write succeeds");
                 next = next.zip(every).map(|(n, e)| n + e);
             }
-            std::hint::black_box(sim.active_operations());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+            sim.active_operations()
+        },
+    )
+    .scaled(1e3);
     let _ = std::fs::remove_dir_all(&dir);
-    Reps(samples)
+    ms
 }
 
-/// Wall ms of repeated serial gated-mode runs with causal
-/// operation tracing enabled at `rate` (`None` leaves it off — the
-/// untraced baseline). The sampler decides once per operation at
-/// launch, so a low rate skips the span bookkeeping for almost every
-/// operation; this prices exactly what `--trace-ops RATE` adds.
-fn measure_optrace(build: fn(u64) -> Simulation, horizon_secs: u64, rate: Option<f64>) -> Reps {
-    let reps = 5;
-    let samples = (0..reps)
-        .map(|_| {
-            let mut sim = build(42);
-            if let Some(rate) = rate {
-                sim.enable_optrace(rate);
-            }
-            let start = Instant::now();
-            sim.run_until(SimTime::from_secs(horizon_secs));
-            std::hint::black_box(sim.active_operations());
-            std::hint::black_box(sim.optrace().map_or(0, |r| r.counters().sampled));
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    Reps(samples)
+/// Wall-ms summaries of `PAIRS` alternating single runs of `a` and `b`,
+/// `a` first in even pairs and `b` first in odd ones.
+fn alternate(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (Summary, Summary) {
+    let (mut xs, mut ys) = (Vec::with_capacity(PAIRS), Vec::with_capacity(PAIRS));
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            xs.push(a());
+            ys.push(b());
+        } else {
+            ys.push(b());
+            xs.push(a());
+        }
+    }
+    (Summary::of(&xs), Summary::of(&ys))
 }
 
 /// One sharded measurement: best-of-reps wall ms plus the (run-to-run
@@ -394,28 +393,29 @@ fn measure_sharded(
     shards: usize,
     workers: usize,
 ) -> ShardedRun {
-    let reps = 5;
-    let mut best = ShardedRun {
-        wall_ms: f64::INFINITY,
-        window_ticks: 0,
-        mail_sent: 0,
-        ordering_violations: 0,
-    };
-    for _ in 0..reps {
-        let mut sim = ShardedSimulation::new(build(42), shards, None, Some(workers))
-            .expect("valid shard configuration");
-        let start = Instant::now();
-        sim.run_until(SimTime::from_secs(horizon_secs));
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let stats = sim.stats();
-        // The mailbox traffic is byte-deterministic across reps; only
-        // the wall time varies.
-        best.window_ticks = sim.window_ticks();
-        best.mail_sent = stats.iter().map(|s| s.mail_sent).sum();
-        best.ordering_violations = stats.iter().map(|s| s.ordering_violations).sum();
-        best.wall_ms = best.wall_ms.min(wall_ms);
+    let (mut window_ticks, mut mail_sent, mut ordering_violations) = (0, 0, 0);
+    let wall = sample(
+        REPS,
+        || {
+            ShardedSimulation::new(build(42), shards, None, Some(workers))
+                .expect("valid shard configuration")
+        },
+        |sim| {
+            sim.run_until(SimTime::from_secs(horizon_secs));
+            // The mailbox traffic is byte-deterministic across reps;
+            // only the wall time varies.
+            let stats = sim.stats();
+            window_ticks = sim.window_ticks();
+            mail_sent = stats.iter().map(|s| s.mail_sent).sum();
+            ordering_violations = stats.iter().map(|s| s.ordering_violations).sum();
+        },
+    );
+    ShardedRun {
+        wall_ms: wall.min * 1e3,
+        window_ticks,
+        mail_sent,
+        ordering_violations,
     }
-    best
 }
 
 /// One sharded bench case: (label, builder, horizon secs, shards, workers).
@@ -523,7 +523,7 @@ fn check() {
     //    On smaller hosts the ratio is reported but not asserted —
     //    barrier waits without parallel hardware measure only overhead.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let serial = measure(consolidated::build, &Executor::serial(), 30, false).min();
+    let serial = measure(consolidated::build, 30, REPS, as_built).min;
     let par = measure_sharded(consolidated::build, 30, 4, 4);
     let ratio = serial / par.wall_ms;
     println!(
@@ -542,18 +542,18 @@ fn check() {
     //    plumbing) with every feature off is what ordinary runs now
     //    execute; it must stay within 2% of the plain step loop (plus
     //    1 ms of timer slack — these are runs of under 10 ms, so the
-    //    slack is a large share of the budget). Both sides' minimum and
-    //    median are printed: a median gap as wide as the minimum gap
-    //    points at a regression, a minimum gap alone at host noise.
-    let plain_reps = measure(consolidated::build, &Executor::serial(), 30, false);
-    let robust_reps = measure_robust(consolidated::build, 30, false, None);
-    let (plain, robust_off) = (plain_reps.min(), robust_reps.min());
+    //    slack is a large share of the budget). Both sides' spreads are
+    //    printed, so host noise can be told from a regression.
+    let (plain_ms, robust_ms) = alternate(
+        || measure(consolidated::build, 30, 1, as_built).min,
+        || measure_robust(consolidated::build, 30, false, None, 1).min,
+    );
+    let (plain, robust_off) = (plain_ms.median, robust_ms.median);
     let overhead_pct = (robust_off / plain - 1.0) * 100.0;
     println!(
-        "check: robust driver, features off: {plain:.1} ms plain vs {robust_off:.1} ms \
-         supervised = {overhead_pct:+.2}% (medians {:.1} vs {:.1} ms)",
-        plain_reps.median(),
-        robust_reps.median()
+        "check: robust driver, features off, {PAIRS} pairs: medians {plain:.1} ms plain vs \
+         {robust_off:.1} ms supervised = {overhead_pct:+.2}%\n  plain (ms) {plain_ms:.1?}\n  \
+         supervised (ms) {robust_ms:.1?}"
     );
     assert!(
         robust_off <= plain * 1.02 + 1.0,
@@ -566,15 +566,16 @@ fn check() {
     //    on the saturated consolidated case — the per-operation launch
     //    check is one hash, and 99% of operations take no other branch.
     //    The sampler must also not be vacuous at this rate and horizon.
-    let untraced_reps = measure_optrace(consolidated::build, 30, None);
-    let sampled_reps = measure_optrace(consolidated::build, 30, Some(0.01));
-    let (untraced, sampled) = (untraced_reps.min(), sampled_reps.min());
+    let (untraced_ms, sampled_ms) = alternate(
+        || measure(consolidated::build, 30, 1, as_built).min,
+        || measure(consolidated::build, 30, 1, traced(0.01)).min,
+    );
+    let (untraced, sampled) = (untraced_ms.median, sampled_ms.median);
     let optrace_pct = (sampled / untraced - 1.0) * 100.0;
     println!(
-        "check: optrace at 1%: {untraced:.1} ms untraced vs {sampled:.1} ms \
-         sampled = {optrace_pct:+.2}% (medians {:.1} vs {:.1} ms)",
-        untraced_reps.median(),
-        sampled_reps.median()
+        "check: optrace at 1%, {PAIRS} pairs: medians {untraced:.1} ms untraced vs \
+         {sampled:.1} ms sampled = {optrace_pct:+.2}%\n  untraced (ms) {untraced_ms:.1?}\n  \
+         sampled (ms) {sampled_ms:.1?}"
     );
     let mut sim = consolidated::build(42);
     sim.enable_optrace(0.01);
@@ -619,8 +620,20 @@ fn main() {
             format!("{:.1}", gate.active_mean),
         ]);
         for (name, executor) in &executors {
-            let before = measure(case.build, executor, case.horizon_secs, true).min();
-            let after = measure(case.build, executor, case.horizon_secs, false).min();
+            let before = measure(
+                case.build,
+                case.horizon_secs,
+                REPS,
+                step_loop(executor, true),
+            )
+            .min;
+            let after = measure(
+                case.build,
+                case.horizon_secs,
+                REPS,
+                step_loop(executor, false),
+            )
+            .min;
             let sim_s = case.horizon_secs as f64;
             let before_rate = before / sim_s;
             let after_rate = after / sim_s;
@@ -664,7 +677,7 @@ fn main() {
     let mut sharded_rows: Vec<Vec<String>> = Vec::new();
     let mut sharded_json: Vec<String> = Vec::new();
     for &(scenario, build, horizon_secs, shards, workers) in &SHARDED_CASES {
-        let serial = measure(build, &Executor::serial(), horizon_secs, false).min();
+        let serial = measure(build, horizon_secs, REPS, as_built).min;
         let run = measure_sharded(build, horizon_secs, shards, workers);
         let sim_s = horizon_secs as f64;
         let speedup = serial / run.wall_ms;
@@ -706,10 +719,10 @@ fn main() {
     let mut robust_rows: Vec<Vec<String>> = Vec::new();
     let mut robust_json: Vec<String> = Vec::new();
     for case in &CASES {
-        let base = measure(case.build, &Executor::serial(), case.horizon_secs, false).min();
+        let base = measure(case.build, case.horizon_secs, REPS, as_built).min;
         let every = (case.horizon_secs / 4).max(1);
-        let ckpt = measure_robust(case.build, case.horizon_secs, false, Some(every)).min();
-        let paranoid = measure_robust(case.build, case.horizon_secs, true, None).min();
+        let ckpt = measure_robust(case.build, case.horizon_secs, false, Some(every), REPS).min;
+        let paranoid = measure_robust(case.build, case.horizon_secs, true, None, REPS).min;
         let sim_s = case.horizon_secs as f64;
         let ckpt_pct = (ckpt / base - 1.0) * 100.0;
         let paranoid_pct = (paranoid / base - 1.0) * 100.0;
@@ -746,9 +759,9 @@ fn main() {
     let mut optrace_rows: Vec<Vec<String>> = Vec::new();
     let mut optrace_json: Vec<String> = Vec::new();
     for case in &CASES {
-        let base = measure_optrace(case.build, case.horizon_secs, None).min();
-        let sampled = measure_optrace(case.build, case.horizon_secs, Some(0.01)).min();
-        let full = measure_optrace(case.build, case.horizon_secs, Some(1.0)).min();
+        let base = measure(case.build, case.horizon_secs, REPS, as_built).min;
+        let sampled = measure(case.build, case.horizon_secs, REPS, traced(0.01)).min;
+        let full = measure(case.build, case.horizon_secs, REPS, traced(1.0)).min;
         let mut sim = (case.build)(42);
         sim.enable_optrace(1.0);
         sim.run_until(SimTime::from_secs(case.horizon_secs));

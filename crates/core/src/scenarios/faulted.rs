@@ -165,24 +165,3 @@ pub fn demo_fault_plan() -> FaultPlan {
         retry: Some(demo_retry_policy()),
     }
 }
-
-/// A harsher variant used by tests: the *whole* EU data center goes
-/// down over the same window, exercising DC-level failover.
-pub fn dc_outage_plan() -> FaultPlan {
-    FaultPlan {
-        events: vec![
-            FaultEvent {
-                at_secs: OUTAGE_START.as_secs_f64(),
-                target: FaultTarget::DataCenter { site: "EU".into() },
-                action: crate::fault::FaultAction::Fail,
-            },
-            FaultEvent {
-                at_secs: OUTAGE_END.as_secs_f64(),
-                target: FaultTarget::DataCenter { site: "EU".into() },
-                action: crate::fault::FaultAction::Recover,
-            },
-        ],
-        in_flight: InFlightPolicy::Drop,
-        retry: Some(demo_retry_policy()),
-    }
-}

@@ -202,14 +202,6 @@ impl Snapshot {
         Ok(Snapshot { meta, payload })
     }
 
-    /// Writes the checkpoint to `path` atomically: the bytes go to a
-    /// `.tmp` sibling first, are flushed, and the sibling is renamed
-    /// over `path` — readers see either the old file or the complete
-    /// new one, never a prefix.
-    pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
-        write_atomic_bytes(path, &self.to_bytes())
-    }
-
     /// Reads and decodes a checkpoint file.
     pub fn read(path: &Path) -> Result<Self, SnapshotError> {
         let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(path.to_path_buf(), e))?;

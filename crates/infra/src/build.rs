@@ -473,11 +473,6 @@ impl Infrastructure {
         Ok(())
     }
 
-    /// Whether the data center is currently down.
-    pub fn dc_is_down(&self, id: DcId) -> bool {
-        self.dc_down[id.index()]
-    }
-
     /// Resolves a WAN link label (`L from->to`) to its link agent.
     pub fn wan_link_agent(&self, label: &str) -> Option<AgentId> {
         self.wan_links

@@ -77,13 +77,6 @@ pub fn mmc_response_time(lambda: f64, mu: f64, servers: u32) -> f64 {
     1.0 / mu + erlang_c(lambda, mu, servers) / (c * mu - lambda)
 }
 
-/// Mean response time of an `M/M/1 – PS` queue. Processor sharing with
-/// exponential service has the same mean as FCFS: `W = 1/(μ − λ)` —
-/// the sojourn-time *distribution* differs, the mean does not.
-pub fn mm1_ps_response_time(lambda: f64, mu: f64) -> f64 {
-    mm1_response_time(lambda, mu)
-}
-
 /// Blocking probability of an `M/M/1/K` queue (Erlang loss for the
 /// single-server finite-capacity case): the probability an arrival finds
 /// the system full and is dropped.

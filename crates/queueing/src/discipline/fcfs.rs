@@ -42,16 +42,6 @@ impl FcfsMulti {
         self.rate
     }
 
-    /// Number of servers.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Jobs waiting (not yet in service).
-    pub fn waiting_len(&self) -> usize {
-        self.waiting.len()
-    }
-
     /// Tokens of every job in the queue, in service or waiting.
     pub(crate) fn tokens(&self) -> impl Iterator<Item = JobToken> + '_ {
         self.servers
