@@ -304,6 +304,39 @@ mod tests {
         // FIFO completion order preserved through the pipeline.
         assert_eq!(done, vec![JobToken(0), JobToken(1), JobToken(2)]);
     }
+
+    /// Length and FNV-1a 64 hash of `bytes`, as `len:hash`.
+    fn digest(bytes: &[u8]) -> String {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in bytes {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        format!("{}:{h:016x}", bytes.len())
+    }
+
+    #[test]
+    fn checkpoint_bytes_with_both_disk_stages_busy_match_golden() {
+        // 2.4 MB requests over 2 disks: the array controller passes ~4
+        // per 10 ms tick, each disk controller ~2 stripes and each drive
+        // one, so after four ticks stripes wait at both disk stages while
+        // jobs still queue at the controller. Both hit rates lie strictly
+        // between 0 and 1, so both cache levels draw.
+        let spec = RaidSpec::new(2, gbps(8.0), 0.25, gbps(2.0), 0.3, mb_per_s(120.0));
+        let mut r = RaidModel::new(spec, 7);
+        for i in 0..24 {
+            r.enqueue(JobToken(i), 2.4e6, SimTime::ZERO);
+        }
+        let done = run(&mut r, 4);
+        assert!(!r.dacc.is_empty(), "no job waits at the array controller");
+        assert!(!r.outstanding.is_empty(), "no job reached the disks");
+        assert_eq!(done.len() + r.in_system(), 24);
+        assert_eq!(
+            digest(&gdisim_snap::to_bytes(&r)),
+            "1373:29c392382320cd93",
+            "RAID checkpoint bytes moved"
+        );
+    }
 }
 
 // Checkpoint support. `scratch` is a reusable allocation with no
