@@ -10,7 +10,7 @@
 
 use gdisim_core::scenarios::rates;
 use gdisim_infra::{ClientAccessSpec, DataCenterSpec, TierSpec, TopologySpec};
-use gdisim_queueing::SwitchSpec;
+use gdisim_queueing::ByteRateSpec;
 use gdisim_types::units::gbps;
 use gdisim_types::TierKind;
 use std::fmt::Display;
@@ -105,7 +105,7 @@ pub fn one_dc_topology(switch_gbps: f64, tier: impl Fn(TierKind) -> TierSpec) ->
     TopologySpec {
         data_centers: vec![DataCenterSpec {
             name: "NA".into(),
-            switch: SwitchSpec::new(gbps(switch_gbps)),
+            switch: ByteRateSpec::new(gbps(switch_gbps)),
             tiers: kinds.into_iter().map(tier).collect(),
             clients: ClientAccessSpec {
                 link: rates::client_access(),

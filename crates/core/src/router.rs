@@ -202,7 +202,7 @@ mod tests {
     use gdisim_infra::{
         ClientAccessSpec, DataCenterSpec, TierSpec, TierStorageSpec, TopologySpec, WanLinkSpec,
     };
-    use gdisim_queueing::{CpuSpec, LinkSpec, MemorySpec, NicSpec, RaidSpec, SwitchSpec};
+    use gdisim_queueing::{ByteRateSpec, CpuSpec, LinkSpec, MemorySpec, RaidSpec};
     use gdisim_types::units::{gbps, ghz, mb_per_s};
     use gdisim_types::{RVec, SimDuration, TierKind};
     use gdisim_workload::{Endpoint, Site};
@@ -213,7 +213,7 @@ mod tests {
             servers: 2,
             cpu: CpuSpec::new(1, 4, ghz(2.5)),
             memory: MemorySpec::new(32e9, hit),
-            nic: NicSpec::new(gbps(1.0)),
+            nic: ByteRateSpec::new(gbps(1.0)),
             lan: LinkSpec::new(gbps(1.0), SimDuration::ZERO, 256),
             storage: TierStorageSpec::PerServerRaid(RaidSpec::new(
                 4,
@@ -226,7 +226,7 @@ mod tests {
         };
         let dc = |name: &str, hit: f64| DataCenterSpec {
             name: name.into(),
-            switch: SwitchSpec::new(gbps(10.0)),
+            switch: ByteRateSpec::new(gbps(10.0)),
             tiers: vec![tier(TierKind::App, hit), tier(TierKind::Fs, hit)],
             clients: ClientAccessSpec {
                 link: LinkSpec::new(gbps(1.0), SimDuration::from_millis(1), 1024),

@@ -23,7 +23,7 @@ use gdisim_infra::{
     ClientAccessSpec, DataCenterSpec, Infrastructure, TierSpec, TierStorageSpec, TopologySpec,
     WanLinkSpec,
 };
-use gdisim_queueing::SwitchSpec;
+use gdisim_queueing::ByteRateSpec;
 use gdisim_types::units::gbps;
 use gdisim_types::{SimDuration, TierKind};
 use gdisim_workload::{
@@ -52,7 +52,7 @@ pub fn topology() -> TopologySpec {
     };
     let dc = |name: &str| DataCenterSpec {
         name: name.into(),
-        switch: SwitchSpec::new(gbps(10.0)),
+        switch: ByteRateSpec::new(gbps(10.0)),
         tiers: vec![
             tier(TierKind::App, 4),
             tier(TierKind::Db, 2),

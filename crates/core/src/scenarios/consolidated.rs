@@ -20,7 +20,7 @@ use gdisim_infra::{
     ClientAccessSpec, DataCenterSpec, Infrastructure, TierSpec, TierStorageSpec, TopologySpec,
     WanLinkSpec,
 };
-use gdisim_queueing::SwitchSpec;
+use gdisim_queueing::ByteRateSpec;
 use gdisim_types::units::gbps;
 use gdisim_types::{SimDuration, TierKind};
 use gdisim_workload::{AppWorkload, Catalog, DiurnalCurve, SiteLoad};
@@ -77,7 +77,7 @@ fn tier(
 fn slave_dc(name: &str, fs_servers: u32) -> DataCenterSpec {
     DataCenterSpec {
         name: name.into(),
-        switch: SwitchSpec::new(gbps(10.0)),
+        switch: ByteRateSpec::new(gbps(10.0)),
         tiers: vec![tier(
             TierKind::Fs,
             fs_servers,
@@ -97,7 +97,7 @@ fn slave_dc(name: &str, fs_servers: u32) -> DataCenterSpec {
 pub fn topology() -> TopologySpec {
     let master = DataCenterSpec {
         name: "NA".into(),
-        switch: SwitchSpec::new(gbps(10.0)),
+        switch: ByteRateSpec::new(gbps(10.0)),
         tiers: vec![
             // 8 application servers, 6 cores each = 48 cores.
             tier(

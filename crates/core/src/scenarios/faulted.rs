@@ -20,7 +20,7 @@ use gdisim_infra::{
     ClientAccessSpec, DataCenterSpec, Infrastructure, TierSpec, TierStorageSpec, TopologySpec,
     WanLinkSpec,
 };
-use gdisim_queueing::SwitchSpec;
+use gdisim_queueing::ByteRateSpec;
 use gdisim_types::units::gbps;
 use gdisim_types::{SimDuration, SimTime, TierKind};
 use gdisim_workload::{AppWorkload, Catalog, DiurnalCurve, RetryPolicy, SiteLoad};
@@ -60,7 +60,7 @@ pub fn topology() -> TopologySpec {
     };
     let dc = |name: &str| DataCenterSpec {
         name: name.into(),
-        switch: SwitchSpec::new(gbps(10.0)),
+        switch: ByteRateSpec::new(gbps(10.0)),
         tiers: vec![
             tier(TierKind::App, 2),
             tier(TierKind::Db, 1),

@@ -17,7 +17,7 @@ use gdisim_background::{BackgroundScheduler, OwnershipSplit, SchedulerConfig};
 use gdisim_infra::{
     ClientAccessSpec, DataCenterSpec, Infrastructure, TierSpec, TierStorageSpec, TopologySpec,
 };
-use gdisim_queueing::SwitchSpec;
+use gdisim_queueing::ByteRateSpec;
 use gdisim_types::units::gbps;
 use gdisim_types::{SimDuration, TierKind};
 use gdisim_workload::{AccessPatternMatrix, AppWorkload, Catalog, SiteLoad};
@@ -63,7 +63,7 @@ fn master_dc(
     };
     DataCenterSpec {
         name: name.into(),
-        switch: SwitchSpec::new(gbps(10.0)),
+        switch: ByteRateSpec::new(gbps(10.0)),
         tiers: vec![
             tier(
                 TierKind::App,

@@ -7,7 +7,7 @@
 //! the specs in the scenario modules are deliberately derived from the
 //! same primitives.
 
-use gdisim_queueing::{CpuSpec, LinkSpec, MemorySpec, NicSpec, RaidSpec, SanSpec};
+use gdisim_queueing::{ByteRateSpec, CpuSpec, LinkSpec, MemorySpec, RaidSpec, SanSpec};
 use gdisim_types::units::{gbps, ghz, mb_per_s};
 use gdisim_types::SimDuration;
 use gdisim_workload::RateCard;
@@ -50,8 +50,8 @@ pub fn cpu(sockets: u32, cores: u32) -> CpuSpec {
 }
 
 /// A server NIC at the lab LAN rate.
-pub fn nic() -> NicSpec {
-    NicSpec::new(LAN_RATE)
+pub fn nic() -> ByteRateSpec {
+    ByteRateSpec::new(LAN_RATE)
 }
 
 /// A LAN link (server ↔ switch) with sub-millisecond latency.

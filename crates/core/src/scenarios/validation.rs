@@ -14,7 +14,7 @@ use crate::scenarios::rates;
 use gdisim_infra::{
     ClientAccessSpec, DataCenterSpec, Infrastructure, TierSpec, TierStorageSpec, TopologySpec,
 };
-use gdisim_queueing::SwitchSpec;
+use gdisim_queueing::ByteRateSpec;
 use gdisim_types::units::gbps;
 use gdisim_types::{AppId, SimDuration, SimTime, TierKind};
 use gdisim_workload::{Catalog, SeriesKind};
@@ -85,7 +85,7 @@ pub fn downscaled_topology() -> TopologySpec {
     TopologySpec {
         data_centers: vec![DataCenterSpec {
             name: "NA".into(),
-            switch: SwitchSpec::new(gbps(10.0)),
+            switch: ByteRateSpec::new(gbps(10.0)),
             tiers: vec![
                 tier(
                     TierKind::App,

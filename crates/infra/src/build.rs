@@ -10,9 +10,7 @@ use crate::component::{AgentSlot, Component, ComponentKind, ComponentMeta};
 use crate::routing::{compute_routes_excluding, Route};
 use crate::spec::{TierStorageSpec, TopologySpec, WanLinkSpec};
 use gdisim_queueing::discipline::InfiniteServer;
-use gdisim_queueing::{
-    CpuModel, LinkModel, MemoryModel, NicModel, RaidModel, SanModel, Station, SwitchModel,
-};
+use gdisim_queueing::{CpuModel, LinkModel, MemoryModel, RaidModel, SanModel, Station};
 use gdisim_types::{AgentId, DcId, SimDuration, SimTime, TierKind};
 use std::collections::HashMap;
 
@@ -167,7 +165,7 @@ impl Infrastructure {
             let id = DcId::from_index(i);
             dc_by_name.insert(dc_spec.name.clone(), id);
             let switch = b.push(
-                Component::Switch(SwitchModel::new(dc_spec.switch)),
+                Component::Switch(dc_spec.switch.queue()),
                 ComponentKind::Switch,
                 id,
                 None,
@@ -215,7 +213,7 @@ impl Infrastructure {
                         label("cpu"),
                     );
                     let nic = b.push(
-                        Component::Nic(NicModel::new(tier_spec.nic)),
+                        Component::Nic(tier_spec.nic.queue()),
                         ComponentKind::Nic,
                         id,
                         Some(tier_spec.kind),
@@ -743,7 +741,7 @@ impl Builder {
 mod tests {
     use super::*;
     use crate::spec::{ClientAccessSpec, DataCenterSpec, TierSpec, WanLinkSpec};
-    use gdisim_queueing::{CpuSpec, LinkSpec, MemorySpec, NicSpec, RaidSpec, SwitchSpec};
+    use gdisim_queueing::{ByteRateSpec, CpuSpec, LinkSpec, MemorySpec, RaidSpec};
     use gdisim_types::units::{gbps, ghz, mb_per_s};
     use gdisim_types::SimDuration;
 
@@ -753,7 +751,7 @@ mod tests {
             servers,
             cpu: CpuSpec::new(1, 4, ghz(2.5)),
             memory: MemorySpec::new(32e9, 0.2),
-            nic: NicSpec::new(gbps(1.0)),
+            nic: ByteRateSpec::new(gbps(1.0)),
             lan: LinkSpec::new(gbps(1.0), SimDuration::ZERO, 256),
             storage: if raid {
                 TierStorageSpec::PerServerRaid(RaidSpec::new(
@@ -773,7 +771,7 @@ mod tests {
     fn dc(name: &str) -> DataCenterSpec {
         DataCenterSpec {
             name: name.into(),
-            switch: SwitchSpec::new(gbps(10.0)),
+            switch: ByteRateSpec::new(gbps(10.0)),
             tiers: vec![tier(TierKind::App, 2, true), tier(TierKind::Fs, 1, true)],
             clients: ClientAccessSpec {
                 link: LinkSpec::new(gbps(1.0), SimDuration::from_millis(1), 1024),

@@ -8,9 +8,7 @@
 //! so collectors can group samples the way the paper's figures do.
 
 use gdisim_queueing::discipline::InfiniteServer;
-use gdisim_queueing::{
-    CpuModel, JobToken, LinkModel, NicModel, RaidModel, SanModel, Station, SwitchModel,
-};
+use gdisim_queueing::{CpuModel, FcfsMulti, JobToken, LinkModel, RaidModel, SanModel, Station};
 use gdisim_types::{DcId, SimDuration, SimTime, TierKind};
 
 /// What kind of hardware an agent models.
@@ -56,10 +54,10 @@ pub struct ComponentMeta {
 pub enum Component {
     /// CPU model (demand: cycles).
     Cpu(CpuModel),
-    /// NIC model (demand: bytes).
-    Nic(NicModel),
-    /// Switch model (demand: bytes).
-    Switch(SwitchModel),
+    /// NIC: one FCFS server at the line rate (demand: bytes).
+    Nic(FcfsMulti),
+    /// Switch: one FCFS server at the backplane rate (demand: bytes).
+    Switch(FcfsMulti),
     /// Link model (demand: bytes).
     Link(LinkModel),
     /// RAID model (demand: bytes).
@@ -71,19 +69,6 @@ pub enum Component {
 }
 
 impl Component {
-    /// The agent kind.
-    pub fn kind(&self) -> ComponentKind {
-        match self {
-            Component::Cpu(_) => ComponentKind::Cpu,
-            Component::Nic(_) => ComponentKind::Nic,
-            Component::Switch(_) => ComponentKind::Switch,
-            Component::Link(_) => ComponentKind::Link,
-            Component::Raid(_) => ComponentKind::Raid,
-            Component::San(_) => ComponentKind::San,
-            Component::ClientPool(_) => ComponentKind::ClientPool,
-        }
-    }
-
     /// Splits a hop's residence time baseline into `(service, wan)`
     /// seconds for optrace attribution: the nominal zero-contention
     /// service time for `demand` at this agent, plus the constant WAN
@@ -92,8 +77,7 @@ impl Component {
     pub fn nominal_segments_secs(&self, demand: f64) -> (f64, f64) {
         match self {
             Component::Cpu(m) => (m.nominal_service_secs(demand), 0.0),
-            Component::Nic(m) => (m.nominal_service_secs(demand), 0.0),
-            Component::Switch(m) => (m.nominal_service_secs(demand), 0.0),
+            Component::Nic(q) | Component::Switch(q) => (demand / q.rate(), 0.0),
             Component::Link(m) => (m.nominal_service_secs(demand), m.propagation_secs()),
             Component::Raid(m) => (m.nominal_service_secs(demand), 0.0),
             Component::San(m) => (m.nominal_service_secs(demand), 0.0),
@@ -104,8 +88,7 @@ impl Component {
     fn station(&mut self) -> &mut dyn Station {
         match self {
             Component::Cpu(m) => m,
-            Component::Nic(m) => m,
-            Component::Switch(m) => m,
+            Component::Nic(q) | Component::Switch(q) => q,
             Component::Link(m) => m,
             Component::Raid(m) => m,
             Component::San(m) => m,
@@ -134,8 +117,7 @@ impl Station for Component {
     fn in_system(&self) -> usize {
         match self {
             Component::Cpu(m) => m.in_system(),
-            Component::Nic(m) => m.in_system(),
-            Component::Switch(m) => m.in_system(),
+            Component::Nic(q) | Component::Switch(q) => q.in_system(),
             Component::Link(m) => m.in_system(),
             Component::Raid(m) => m.in_system(),
             Component::San(m) => m.in_system(),
@@ -146,8 +128,7 @@ impl Station for Component {
     fn is_empty(&self) -> bool {
         match self {
             Component::Cpu(m) => m.is_empty(),
-            Component::Nic(m) => m.is_empty(),
-            Component::Switch(m) => m.is_empty(),
+            Component::Nic(q) | Component::Switch(q) => q.is_empty(),
             Component::Link(m) => m.is_empty(),
             Component::Raid(m) => m.is_empty(),
             Component::San(m) => m.is_empty(),
@@ -186,13 +167,12 @@ impl AgentSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdisim_queueing::{CpuSpec, NicSpec};
+    use gdisim_queueing::{ByteRateSpec, CpuSpec};
     use gdisim_types::units::{gbps, ghz};
 
     #[test]
     fn delegation_ticks_inner_model() {
         let mut c = Component::Cpu(CpuModel::new(CpuSpec::new(1, 1, ghz(2.0))));
-        assert_eq!(c.kind(), ComponentKind::Cpu);
         c.enqueue(JobToken(1), 20e6, SimTime::ZERO);
         assert_eq!(c.in_system(), 1);
         let mut done = Vec::new();
@@ -203,9 +183,15 @@ mod tests {
 
     #[test]
     fn kinds_are_distinct() {
-        let nic = Component::Nic(NicModel::new(NicSpec::new(gbps(1.0))));
-        assert_eq!(nic.kind(), ComponentKind::Nic);
-        assert_ne!(nic.kind(), ComponentKind::Switch);
+        // A NIC and a switch share one queue type; the checkpoint's
+        // variant tag still tells them apart.
+        let queue = ByteRateSpec::new(gbps(1.0)).queue();
+        let nic = gdisim_snap::to_bytes(&Component::Nic(queue.clone()));
+        let switch = gdisim_snap::to_bytes(&Component::Switch(queue));
+        assert_eq!((nic[0], switch[0]), (1, 2));
+        assert_eq!(nic[1..], switch[1..]);
+        let back: Component = gdisim_snap::from_bytes(&switch).expect("decodes");
+        assert!(matches!(back, Component::Switch(_)));
     }
 }
 
@@ -233,13 +219,13 @@ impl gdisim_snap::Snap for Component {
                 w.put_u8(0);
                 m.save(w);
             }
-            Component::Nic(m) => {
+            Component::Nic(q) => {
                 w.put_u8(1);
-                m.save(w);
+                save_byte_queue(q, w);
             }
-            Component::Switch(m) => {
+            Component::Switch(q) => {
                 w.put_u8(2);
-                m.save(w);
+                save_byte_queue(q, w);
             }
             Component::Link(m) => {
                 w.put_u8(3);
@@ -263,8 +249,8 @@ impl gdisim_snap::Snap for Component {
         use gdisim_snap::Snap;
         Ok(match r.take_u8()? {
             0 => Component::Cpu(Snap::load(r)?),
-            1 => Component::Nic(Snap::load(r)?),
-            2 => Component::Switch(Snap::load(r)?),
+            1 => Component::Nic(load_byte_queue(r)?),
+            2 => Component::Switch(load_byte_queue(r)?),
             3 => Component::Link(Snap::load(r)?),
             4 => Component::Raid(Snap::load(r)?),
             5 => Component::San(Snap::load(r)?),
@@ -277,6 +263,22 @@ impl gdisim_snap::Snap for Component {
             }
         })
     }
+}
+
+/// A NIC or switch writes its rate twice, as GDISNAP v2 has it: first
+/// where its spec once sat, then inside its queue.
+fn save_byte_queue(q: &FcfsMulti, w: &mut gdisim_snap::SnapWriter) {
+    use gdisim_snap::Snap;
+    q.rate().save(w);
+    q.save(w);
+}
+
+fn load_byte_queue(
+    r: &mut gdisim_snap::SnapReader<'_>,
+) -> Result<FcfsMulti, gdisim_snap::SnapError> {
+    use gdisim_snap::Snap;
+    f64::load(r)?;
+    FcfsMulti::load(r)
 }
 
 gdisim_snap::snap_struct!(AgentSlot { component, outbox });

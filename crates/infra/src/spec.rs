@@ -5,7 +5,7 @@
 //! [`TopologySpec`] is one of the simulator's four inputs (Fig. 3-1:
 //! software applications, background jobs, data centers, global topology).
 
-use gdisim_queueing::{CpuSpec, LinkSpec, MemorySpec, NicSpec, RaidSpec, SanSpec, SwitchSpec};
+use gdisim_queueing::{ByteRateSpec, CpuSpec, LinkSpec, MemorySpec, RaidSpec, SanSpec};
 use gdisim_types::TierKind;
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +32,7 @@ pub struct TierSpec {
     /// Per-server memory.
     pub memory: MemorySpec,
     /// Per-server NIC.
-    pub nic: NicSpec,
+    pub nic: ByteRateSpec,
     /// Local link connecting each server to the data center switch.
     pub lan: LinkSpec,
     /// Tier storage.
@@ -56,7 +56,7 @@ pub struct DataCenterSpec {
     /// Unique site name ("NA", "EU", …).
     pub name: String,
     /// Core switch interconnecting the tiers.
-    pub switch: SwitchSpec,
+    pub switch: ByteRateSpec,
     /// Server tiers.
     pub tiers: Vec<TierSpec>,
     /// Local client population attach point.
@@ -163,7 +163,7 @@ mod tests {
             servers,
             cpu: CpuSpec::new(1, 4, ghz(2.5)),
             memory: MemorySpec::new(32e9, 0.2),
-            nic: NicSpec::new(gbps(1.0)),
+            nic: ByteRateSpec::new(gbps(1.0)),
             lan: LinkSpec::new(gbps(1.0), SimDuration::from_millis(0), 256),
             storage: TierStorageSpec::None,
         }
@@ -172,7 +172,7 @@ mod tests {
     fn tiny_dc(name: &str) -> DataCenterSpec {
         DataCenterSpec {
             name: name.into(),
-            switch: SwitchSpec::new(gbps(10.0)),
+            switch: ByteRateSpec::new(gbps(10.0)),
             tiers: vec![tiny_tier(TierKind::App, 2), tiny_tier(TierKind::Fs, 1)],
             clients: ClientAccessSpec {
                 link: LinkSpec::new(gbps(1.0), SimDuration::from_millis(1), 1024),

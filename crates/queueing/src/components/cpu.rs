@@ -8,7 +8,7 @@
 
 use crate::discipline::{FcfsMulti, Station};
 use crate::job::JobToken;
-use gdisim_types::{Kendall, SimDuration, SimTime};
+use gdisim_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Datasheet specification of a CPU.
@@ -51,11 +51,6 @@ impl CpuSpec {
     /// Aggregate cycles/second the CPU can retire.
     pub fn total_rate(&self) -> f64 {
         self.sockets as f64 * self.effective_cores_per_socket() as f64 * self.clock_hz
-    }
-
-    /// The Kendall descriptor of one socket's queue.
-    pub fn kendall(&self) -> Kendall {
-        Kendall::mmc_fcfs(self.effective_cores_per_socket())
     }
 }
 
@@ -153,7 +148,6 @@ mod tests {
         let spec = CpuSpec::new(2, 4, ghz(2.5));
         assert_eq!(spec.total_cores(), 8);
         assert_eq!(spec.total_rate(), 8.0 * 2.5e9);
-        assert_eq!(spec.kendall().to_string(), "M/M/4 - FCFS");
     }
 
     #[test]

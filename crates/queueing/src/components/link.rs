@@ -6,7 +6,7 @@
 
 use crate::discipline::{DelayLine, PsQueue, Station};
 use crate::job::JobToken;
-use gdisim_types::{Kendall, SimDuration, SimTime};
+use gdisim_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Datasheet specification of a link.
@@ -36,11 +36,6 @@ impl LinkSpec {
             latency,
             max_connections,
         }
-    }
-
-    /// The Kendall descriptor of this model.
-    pub fn kendall(&self) -> Kendall {
-        Kendall::mm1k_ps(self.max_connections)
     }
 }
 

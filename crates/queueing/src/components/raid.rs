@@ -7,6 +7,7 @@
 //! its controller cache `Qdcc` (whose hits bypass the platter) and the
 //! drive `Qhdd`. The request completes when every stripe has been served.
 
+use super::disks::StripedDisks;
 use crate::discipline::{FcfsMulti, Station};
 use crate::job::JobToken;
 use crate::rng::SplitMix64;
@@ -62,8 +63,7 @@ impl RaidSpec {
 pub struct RaidModel {
     spec: RaidSpec,
     dacc: FcfsMulti,
-    disk_ctrl: Vec<FcfsMulti>,
-    disk_drive: Vec<FcfsMulti>,
+    disks: StripedDisks,
     /// Stripe size per in-flight job (needed when a `Qdcc` miss forwards
     /// the stripe to the drive).
     stripe_of: HashMap<JobToken, f64>,
@@ -78,12 +78,7 @@ impl RaidModel {
     pub fn new(spec: RaidSpec, seed: u64) -> Self {
         RaidModel {
             dacc: FcfsMulti::new(1, spec.array_ctrl_rate),
-            disk_ctrl: (0..spec.disks)
-                .map(|_| FcfsMulti::new(1, spec.disk_ctrl_rate))
-                .collect(),
-            disk_drive: (0..spec.disks)
-                .map(|_| FcfsMulti::new(1, spec.disk_rate))
-                .collect(),
+            disks: StripedDisks::new(spec.disks, spec.disk_ctrl_rate, spec.disk_rate),
             stripe_of: HashMap::new(),
             outstanding: HashMap::new(),
             rng: SplitMix64::new(seed),
@@ -99,12 +94,7 @@ impl RaidModel {
 
     /// Average drive utilization since the last collection (resets).
     pub fn collect_drive_utilization(&mut self) -> f64 {
-        let n = self.disk_drive.len() as f64;
-        self.disk_drive
-            .iter_mut()
-            .map(|d| d.collect_utilization())
-            .sum::<f64>()
-            / n
+        self.disks.collect_drive_utilization()
     }
 
     /// Nominal zero-contention service time for `bytes`: the expected
@@ -118,23 +108,6 @@ impl RaidModel {
         bytes / self.spec.array_ctrl_rate
             + miss * (stripe / self.spec.disk_ctrl_rate + disk_miss * stripe / self.spec.disk_rate)
     }
-
-    fn join_stripe(
-        outstanding: &mut HashMap<JobToken, u32>,
-        stripe_of: &mut HashMap<JobToken, f64>,
-        token: JobToken,
-        completed: &mut Vec<JobToken>,
-    ) {
-        let remaining = outstanding
-            .get_mut(&token)
-            .expect("stripe completed without a join entry");
-        *remaining -= 1;
-        if *remaining == 0 {
-            outstanding.remove(&token);
-            stripe_of.remove(&token);
-            completed.push(token);
-        }
-    }
 }
 
 impl Station for RaidModel {
@@ -144,40 +117,20 @@ impl Station for RaidModel {
     }
 
     fn tick(&mut self, now: SimTime, dt: SimDuration, completed: &mut Vec<JobToken>) {
-        // Drives first, then disk controllers, then the array controller:
-        // back-to-front so a job advances at most one stage per tick.
-        if self.outstanding.is_empty() {
-            // No forked job, so no stripe sits at any disk: each disk
-            // queue's tick would be an empty one, which draws no random
-            // number and completes nothing.
-            for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
-                q.account_idle(1, dt);
-            }
-        } else {
-            for i in 0..self.spec.disks as usize {
-                self.scratch.clear();
-                self.disk_drive[i].tick(now, dt, &mut self.scratch);
-                for token in self.scratch.drain(..) {
-                    Self::join_stripe(&mut self.outstanding, &mut self.stripe_of, token, completed);
-                }
-            }
-            for i in 0..self.spec.disks as usize {
-                self.scratch.clear();
-                self.disk_ctrl[i].tick(now, dt, &mut self.scratch);
-                for token in self.scratch.drain(..) {
-                    if self.rng.bernoulli(self.spec.disk_cache_hit) {
-                        Self::join_stripe(
-                            &mut self.outstanding,
-                            &mut self.stripe_of,
-                            token,
-                            completed,
-                        );
-                    } else {
-                        let stripe = self.stripe_of[&token];
-                        self.disk_drive[i].enqueue(token, stripe, now);
-                    }
-                }
-            }
+        // The disks first, then the array controller: back-to-front so a
+        // job advances at most one stage per tick.
+        let (rng, hit, stripe_of) = (&mut self.rng, self.spec.disk_cache_hit, &self.stripe_of);
+        let joined = completed.len();
+        self.disks.tick(
+            now,
+            dt,
+            &mut self.outstanding,
+            |token| (!rng.bernoulli(hit)).then(|| stripe_of[&token]),
+            &mut self.scratch,
+            completed,
+        );
+        for token in &completed[joined..] {
+            self.stripe_of.remove(token);
         }
         self.scratch.clear();
         self.dacc.tick(now, dt, &mut self.scratch);
@@ -186,20 +139,15 @@ impl Station for RaidModel {
                 self.stripe_of.remove(&token);
                 completed.push(token);
             } else {
-                self.outstanding.insert(token, self.spec.disks);
                 let stripe = self.stripe_of[&token];
-                for ctrl in &mut self.disk_ctrl {
-                    ctrl.enqueue(token, stripe, now);
-                }
+                self.disks.fork(&mut self.outstanding, token, stripe, now);
             }
         }
     }
 
     fn account_idle(&mut self, ticks: u64, dt: SimDuration) {
         self.dacc.account_idle(ticks, dt);
-        for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
-            q.account_idle(ticks, dt);
-        }
+        self.disks.account_idle(ticks, dt);
     }
 
     fn collect_utilization(&mut self) -> f64 {
@@ -213,17 +161,14 @@ impl Station for RaidModel {
     }
 
     fn evict_all(&mut self, into: &mut Vec<JobToken>) {
-        let mut discard = Vec::new();
-        self.dacc.evict_all(&mut discard);
-        for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
-            q.evict_all(&mut discard);
-        }
+        self.dacc.evict_all(&mut self.scratch);
+        self.scratch.clear();
+        self.disks.evict_all(&mut self.outstanding);
         // `stripe_of` holds every in-flight job exactly once; sort for
         // determinism (it is hash-ordered).
         let mut jobs: Vec<JobToken> = self.stripe_of.drain().map(|(t, _)| t).collect();
         jobs.sort_unstable();
         into.append(&mut jobs);
-        self.outstanding.clear();
     }
 }
 
@@ -353,8 +298,7 @@ gdisim_snap::snap_struct!(RaidSpec {
 gdisim_snap::snap_struct!(RaidModel {
     spec,
     dacc,
-    disk_ctrl,
-    disk_drive,
+    disks,
     stripe_of,
     outstanding,
     rng,

@@ -6,6 +6,7 @@
 //! fibre-channel arbitrated loop `Qfcal`. A cache hit in `Qdacc` bypasses
 //! the loop and the fork-join structure.
 
+use super::disks::StripedDisks;
 use crate::discipline::{FcfsMulti, Station};
 use crate::job::JobToken;
 use crate::rng::SplitMix64;
@@ -86,8 +87,7 @@ pub struct SanModel {
     fcsw: FcfsMulti,
     dacc: FcfsMulti,
     fcal: FcfsMulti,
-    disk_ctrl: Vec<FcfsMulti>,
-    disk_drive: Vec<FcfsMulti>,
+    disks: StripedDisks,
     demand_of: HashMap<JobToken, f64>,
     outstanding: HashMap<JobToken, u32>,
     rng: SplitMix64,
@@ -101,12 +101,7 @@ impl SanModel {
             fcsw: FcfsMulti::new(1, spec.fc_switch_rate),
             dacc: FcfsMulti::new(1, spec.array_ctrl_rate),
             fcal: FcfsMulti::new(1, spec.fc_loop_rate),
-            disk_ctrl: (0..spec.disks)
-                .map(|_| FcfsMulti::new(1, spec.disk_ctrl_rate))
-                .collect(),
-            disk_drive: (0..spec.disks)
-                .map(|_| FcfsMulti::new(1, spec.disk_rate))
-                .collect(),
+            disks: StripedDisks::new(spec.disks, spec.disk_ctrl_rate, spec.disk_rate),
             demand_of: HashMap::new(),
             outstanding: HashMap::new(),
             rng: SplitMix64::new(seed),
@@ -122,12 +117,7 @@ impl SanModel {
 
     /// Average drive utilization since the last collection (resets).
     pub fn collect_drive_utilization(&mut self) -> f64 {
-        let n = self.disk_drive.len() as f64;
-        self.disk_drive
-            .iter_mut()
-            .map(|d| d.collect_utilization())
-            .sum::<f64>()
-            / n
+        self.disks.collect_drive_utilization()
     }
 
     /// Nominal zero-contention service time for `bytes`: the expected
@@ -146,23 +136,6 @@ impl SanModel {
                     + stripe / self.spec.disk_ctrl_rate
                     + disk_miss * stripe / self.spec.disk_rate)
     }
-
-    fn join_stripe(
-        outstanding: &mut HashMap<JobToken, u32>,
-        demand_of: &mut HashMap<JobToken, f64>,
-        token: JobToken,
-        completed: &mut Vec<JobToken>,
-    ) {
-        let remaining = outstanding
-            .get_mut(&token)
-            .expect("stripe without join entry");
-        *remaining -= 1;
-        if *remaining == 0 {
-            outstanding.remove(&token);
-            demand_of.remove(&token);
-            completed.push(token);
-        }
-    }
 }
 
 impl Station for SanModel {
@@ -172,49 +145,26 @@ impl Station for SanModel {
     }
 
     fn tick(&mut self, now: SimTime, dt: SimDuration, completed: &mut Vec<JobToken>) {
-        // Back to front: drives, disk controllers, loop, array controller,
-        // FC switch.
-        if self.outstanding.is_empty() {
-            // No job is past the loop, so no stripe sits at any disk:
-            // each disk queue's tick would be an empty one, which draws
-            // no random number and completes nothing.
-            for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
-                q.account_idle(1, dt);
-            }
-        } else {
-            for i in 0..self.spec.disks as usize {
-                self.scratch.clear();
-                self.disk_drive[i].tick(now, dt, &mut self.scratch);
-                for token in self.scratch.drain(..) {
-                    Self::join_stripe(&mut self.outstanding, &mut self.demand_of, token, completed);
-                }
-            }
-            for i in 0..self.spec.disks as usize {
-                self.scratch.clear();
-                self.disk_ctrl[i].tick(now, dt, &mut self.scratch);
-                for token in self.scratch.drain(..) {
-                    if self.rng.bernoulli(self.spec.disk_cache_hit) {
-                        Self::join_stripe(
-                            &mut self.outstanding,
-                            &mut self.demand_of,
-                            token,
-                            completed,
-                        );
-                    } else {
-                        let stripe = self.demand_of[&token] / self.spec.disks as f64;
-                        self.disk_drive[i].enqueue(token, stripe, now);
-                    }
-                }
-            }
+        // Back to front: the disks, loop, array controller, FC switch.
+        let disks = self.spec.disks as f64;
+        let (rng, hit, demand_of) = (&mut self.rng, self.spec.disk_cache_hit, &self.demand_of);
+        let joined = completed.len();
+        self.disks.tick(
+            now,
+            dt,
+            &mut self.outstanding,
+            |token| (!rng.bernoulli(hit)).then(|| demand_of[&token] / disks),
+            &mut self.scratch,
+            completed,
+        );
+        for token in &completed[joined..] {
+            self.demand_of.remove(token);
         }
         self.scratch.clear();
         self.fcal.tick(now, dt, &mut self.scratch);
         for token in self.scratch.drain(..) {
-            self.outstanding.insert(token, self.spec.disks);
-            let stripe = self.demand_of[&token] / self.spec.disks as f64;
-            for ctrl in &mut self.disk_ctrl {
-                ctrl.enqueue(token, stripe, now);
-            }
+            let stripe = self.demand_of[&token] / disks;
+            self.disks.fork(&mut self.outstanding, token, stripe, now);
         }
         self.scratch.clear();
         self.dacc.tick(now, dt, &mut self.scratch);
@@ -239,9 +189,7 @@ impl Station for SanModel {
         self.fcsw.account_idle(ticks, dt);
         self.dacc.account_idle(ticks, dt);
         self.fcal.account_idle(ticks, dt);
-        for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
-            q.account_idle(ticks, dt);
-        }
+        self.disks.account_idle(ticks, dt);
     }
 
     fn collect_utilization(&mut self) -> f64 {
@@ -258,19 +206,16 @@ impl Station for SanModel {
     }
 
     fn evict_all(&mut self, into: &mut Vec<JobToken>) {
-        let mut discard = Vec::new();
-        self.fcsw.evict_all(&mut discard);
-        self.dacc.evict_all(&mut discard);
-        self.fcal.evict_all(&mut discard);
-        for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
-            q.evict_all(&mut discard);
+        for q in [&mut self.fcsw, &mut self.dacc, &mut self.fcal] {
+            q.evict_all(&mut self.scratch);
         }
+        self.scratch.clear();
+        self.disks.evict_all(&mut self.outstanding);
         // `demand_of` holds every in-flight job exactly once; sort for
         // determinism (it is hash-ordered).
         let mut jobs: Vec<JobToken> = self.demand_of.drain().map(|(t, _)| t).collect();
         jobs.sort_unstable();
         into.append(&mut jobs);
-        self.outstanding.clear();
     }
 }
 
@@ -419,8 +364,7 @@ impl Snap for SanModel {
         self.fcsw.save(w);
         self.dacc.save(w);
         self.fcal.save(w);
-        self.disk_ctrl.save(w);
-        self.disk_drive.save(w);
+        self.disks.save(w);
         let front_stage: HashMap<JobToken, FrontStage> = self
             .fcsw
             .tokens()
@@ -440,16 +384,14 @@ impl Snap for SanModel {
         let fcsw = Snap::load(r)?;
         let dacc = Snap::load(r)?;
         let fcal = Snap::load(r)?;
-        let disk_ctrl = Snap::load(r)?;
-        let disk_drive = Snap::load(r)?;
+        let disks = Snap::load(r)?;
         HashMap::<JobToken, FrontStage>::load(r)?;
         Ok(SanModel {
             spec,
             fcsw,
             dacc,
             fcal,
-            disk_ctrl,
-            disk_drive,
+            disks,
             demand_of: Snap::load(r)?,
             outstanding: Snap::load(r)?,
             rng: Snap::load(r)?,

@@ -28,8 +28,8 @@ pub mod job;
 pub mod rng;
 
 pub use components::{
-    CpuModel, CpuSpec, LinkModel, LinkSpec, MemoryModel, MemorySpec, NicModel, NicSpec, RaidModel,
-    RaidSpec, SanModel, SanSpec, SwitchModel, SwitchSpec,
+    ByteRateSpec, CpuModel, CpuSpec, LinkModel, LinkSpec, MemoryModel, MemorySpec, RaidModel,
+    RaidSpec, SanModel, SanSpec,
 };
 pub use discipline::{
     Bypass, DelayLine, FcfsMulti, ForkJoin, InfiniteServer, PsQueue, Station, Tandem,

@@ -12,12 +12,10 @@
 #![warn(missing_docs)]
 
 pub mod ids;
-pub mod kendall;
 pub mod resources;
 pub mod time;
 pub mod units;
 
 pub use ids::{AgentId, AppId, DcId, LinkId, OpTypeId, ServerId, TierId, TierKind};
-pub use kendall::{Arrival, Discipline, Kendall, Service};
 pub use resources::{RVec, ResourceKind};
 pub use time::{SimDuration, SimTime};

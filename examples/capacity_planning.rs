@@ -14,7 +14,7 @@ use gdisim_infra::{
     ClientAccessSpec, DataCenterSpec, Infrastructure, TierSpec, TierStorageSpec, TopologySpec,
 };
 use gdisim_metrics::ResponseKey;
-use gdisim_queueing::SwitchSpec;
+use gdisim_queueing::ByteRateSpec;
 use gdisim_types::units::gbps;
 use gdisim_types::{DcId, OpTypeId, SimTime, TierKind};
 use gdisim_workload::{AppWorkload, Catalog, DiurnalCurve, SiteLoad};
@@ -35,7 +35,7 @@ fn topology(app_servers: u32) -> TopologySpec {
     TopologySpec {
         data_centers: vec![DataCenterSpec {
             name: "NA".into(),
-            switch: SwitchSpec::new(gbps(10.0)),
+            switch: ByteRateSpec::new(gbps(10.0)),
             tiers: vec![
                 tier(TierKind::App, app_servers, 1, 2),
                 tier(TierKind::Db, 1, 2, 4),

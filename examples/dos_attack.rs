@@ -20,7 +20,7 @@ use gdisim_infra::{
     WanLinkSpec,
 };
 use gdisim_metrics::ResponseKey;
-use gdisim_queueing::SwitchSpec;
+use gdisim_queueing::ByteRateSpec;
 use gdisim_types::units::gbps;
 use gdisim_types::{AppId, DcId, OpTypeId, SimDuration, SimTime, TierKind};
 use gdisim_workload::{AppWorkload, Catalog, DiurnalCurve, SiteLoad};
@@ -40,7 +40,7 @@ fn topology() -> TopologySpec {
     };
     let dc = |name: &str| DataCenterSpec {
         name: name.into(),
-        switch: SwitchSpec::new(gbps(10.0)),
+        switch: ByteRateSpec::new(gbps(10.0)),
         tiers: vec![
             tier(TierKind::App, 2),
             tier(TierKind::Db, 1),

@@ -12,7 +12,7 @@ use gdisim_infra::{
     ClientAccessSpec, DataCenterSpec, Infrastructure, TierSpec, TierStorageSpec, TopologySpec,
     WanLinkSpec,
 };
-use gdisim_queueing::SwitchSpec;
+use gdisim_queueing::ByteRateSpec;
 use gdisim_types::units::gbps;
 use gdisim_types::{SimTime, TierKind};
 use gdisim_workload::{AppWorkload, Catalog, DiurnalCurve, SiteLoad};
@@ -31,7 +31,7 @@ fn main() {
     };
     let dc = |name: &str| DataCenterSpec {
         name: name.into(),
-        switch: SwitchSpec::new(gbps(10.0)),
+        switch: ByteRateSpec::new(gbps(10.0)),
         tiers: vec![
             tier(TierKind::App, 2),
             tier(TierKind::Db, 1),
