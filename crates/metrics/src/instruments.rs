@@ -85,8 +85,8 @@ impl Gauge {
 
 /// HDR-style log-linear histogram over `u64` values.
 ///
-/// Values below [`SUB`] land in exact one-unit buckets; above that, each
-/// octave `[2^e, 2^{e+1})` is split into [`SUB`] equal sub-buckets, so
+/// Values below `SUB` (32) land in exact one-unit buckets; above that,
+/// each octave `[2^e, 2^{e+1})` is split into `SUB` equal sub-buckets, so
 /// the quantile error is bounded by `2^-SUB_BITS` of the value while the
 /// whole structure stays a fixed array. `count`, `sum`, `min` and `max`
 /// are tracked exactly.

@@ -1,7 +1,7 @@
 //! Exact-roundtrip binary snapshots for checkpoint/restore.
 //!
-//! The checkpoint subsystem (PR 9) must restore a [`Simulation`] to a
-//! state whose continued run is **bit-identical** to the uninterrupted
+//! The checkpoint subsystem must restore a simulation (`gdisim-core`'s
+//! `Simulation`) to a state whose continued run is **bit-identical** to the uninterrupted
 //! one. JSON round-trips floats through decimal text and loses the
 //! distinction between `-0.0` and `0.0` (and can perturb the last ulp),
 //! so checkpoints use this little binary codec instead: every scalar is
