@@ -197,9 +197,36 @@ impl Observers {
         self.audit.as_ref()
     }
 
-    /// Hands one event, stamped `at`, to every consumer present.
+    /// Hands one event, stamped `at`, to every consumer present that
+    /// keeps it.
     #[inline]
     pub(crate) fn emit(&mut self, at: SimTime, ev: Event<'_>) {
+        if self.keeps(&ev) {
+            self.deliver(at, ev);
+        }
+    }
+
+    /// Whether a consumer present keeps `ev`. The step-loop marks are
+    /// the profiler's alone, since the trace log and the span recorder
+    /// keep none of them, and the span recorder skips what it does not
+    /// [want](OpTraceRecorder::wants). This test is inlined at every
+    /// hook site, so an event that nobody keeps costs a branch and no
+    /// call.
+    #[inline]
+    fn keeps(&self, ev: &Event<'_>) -> bool {
+        match ev {
+            Event::StepBegin
+            | Event::Drain { .. }
+            | Event::Dropped { .. }
+            | Event::Phase(_)
+            | Event::Occupancy(_)
+            | Event::StepEnd(_) => self.profiler.is_some(),
+            _ => self.trace.is_some() || self.spans.as_ref().is_some_and(|s| s.wants(ev)),
+        }
+    }
+
+    /// The out-of-line half of [`Self::emit`].
+    fn deliver(&mut self, at: SimTime, ev: Event<'_>) {
         let Some(p) = &mut self.profiler else {
             return self.emit_operation(at, &ev);
         };
@@ -222,14 +249,14 @@ impl Observers {
         }
     }
 
-    /// The trace log's and span recorder's share of [`Self::emit`].
+    /// The trace log's and span recorder's share of [`Self::deliver`].
     fn emit_operation(&mut self, at: SimTime, ev: &Event<'_>) {
         if let Some(t) = &mut self.trace {
             if let Some(rec) = TraceEvent::project(ev) {
                 t.record(at, rec);
             }
         }
-        if let Some(s) = &mut self.spans {
+        if let Some(s) = self.spans.as_mut().filter(|s| s.wants(ev)) {
             s.observe(at.as_micros(), ev);
         }
     }

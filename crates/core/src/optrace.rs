@@ -139,6 +139,15 @@ impl OpTraceRecorder {
         out
     }
 
+    /// Whether `ev` can change the recorder. While no sampled operation
+    /// is live, only a first launch's sampling decision can: every other
+    /// hook would look up an id the recorder cannot hold. So the engine
+    /// pays one branch per event of an unsampled operation.
+    #[inline]
+    pub(crate) fn wants(&self, ev: &Event<'_>) -> bool {
+        !self.is_idle() || matches!(ev, Event::Launch { attempt: 0, .. })
+    }
+
     /// Feeds one observer event, stamped `at_us`, to the recorder.
     pub(crate) fn observe(&mut self, at_us: u64, ev: &Event<'_>) {
         match *ev {
@@ -179,6 +188,15 @@ impl OpTraceRecorder {
             }
             _ => {}
         }
+    }
+
+    /// Whether the recorder tracks no operation, instance or token.
+    #[inline]
+    fn is_idle(&self) -> bool {
+        self.live.is_empty()
+            && self.inst_root.is_empty()
+            && self.tokens.is_empty()
+            && self.foreign.is_empty()
     }
 
     /// The root this live instance belongs to, when it is sampled.
@@ -558,6 +576,54 @@ mod tests {
         r.on_instance_completed(1, 10);
         assert_eq!(r.counters().sampled, 0);
         assert!(r.export_records().is_empty());
+    }
+
+    #[test]
+    fn recorder_is_idle_again_once_its_sampled_operation_settles() {
+        let mut r = OpTraceRecorder::new(1.0, 7, 10);
+        assert!(r.is_idle());
+        let launch = Event::Launch {
+            instance: 1,
+            key: key(),
+            kind: "client",
+            attempt: 0,
+            breaker: "closed",
+            trace_root: None,
+        };
+        r.observe(0, &launch);
+        r.observe(
+            0,
+            &Event::TokenStart {
+                token: 100,
+                instance: 1,
+                stage: 0,
+            },
+        );
+        r.observe(
+            0,
+            &Event::HopEnqueue {
+                token: 100,
+                agent: 3,
+                demand: 5.0,
+            },
+        );
+        assert!(!r.is_idle());
+        r.observe(
+            400,
+            &Event::MessageDone {
+                token: 100,
+                instance: 1,
+            },
+        );
+        r.observe(
+            400,
+            &Event::OperationDone {
+                instance: 1,
+                response_secs: 4e-4,
+            },
+        );
+        assert!(r.is_idle());
+        assert_eq!(r.counters().finished, 1);
     }
 
     #[test]
