@@ -21,7 +21,8 @@
 //! range-batched dispatch, not the paper's one item per agent. Two
 //! synthetic measurements follow, each the median of the timed phases
 //! of one full-population phase (one item per agent under
-//! Scatter-Gather):
+//! Scatter-Gather) in which every agent is an idle single-server FCFS
+//! queue that ticks once:
 //!
 //! * the per-phase cost of serial, Scatter-Gather and H-Dispatch at 2
 //!   and 4 threads over 4096 agents;
@@ -35,6 +36,7 @@ use gdisim_core::scenarios::rates;
 use gdisim_core::{MasterPolicy, Simulation, SimulationConfig};
 use gdisim_infra::{Infrastructure, TierSpec, TierStorageSpec, TopologySpec};
 use gdisim_ports::Executor;
+use gdisim_queueing::{FcfsMulti, Station};
 use gdisim_types::{AppId, SimDuration, SimTime};
 use gdisim_workload::{Catalog, SeriesKind};
 use std::time::Instant;
@@ -83,23 +85,24 @@ fn run_with(executor: Executor) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-/// One synthetic agent tick: ~50 cheap ops, the cost scale of ticking
-/// a small idle queue.
-fn fake_tick(acc: &mut u64) {
-    *acc = (0..50u64).fold(*acc, |a, i| a.wrapping_mul(31).wrapping_add(i));
+/// One synthetic agent tick: an empty single-server FCFS queue (a NIC
+/// or switch between transfers) ticks once, crediting an idle tick to
+/// its utilization meter.
+fn idle_tick(queue: &mut FcfsMulti) {
+    queue.tick(SimTime::ZERO, SimDuration::from_millis(10), &mut Vec::new());
 }
 
-/// Median wall time, in µs, of one full phase of [`fake_tick`] over
-/// `agents` synthetic agents under `executor`.
+/// Median wall time, in µs, of one full phase of [`idle_tick`] over
+/// `agents` idle queues under `executor`.
 fn phase_median_us(executor: &Executor, agents: u64) -> f64 {
-    let mut population: Vec<u64> = (0..agents).collect();
+    let mut population: Vec<FcfsMulti> = (0..agents).map(|_| FcfsMulti::new(1, 1.25e8)).collect();
     for _ in 0..PHASE_SAMPLES {
-        executor.run_phase(&mut population, fake_tick);
+        executor.run_phase(&mut population, idle_tick);
     }
     let phases = sample(
         PHASE_SAMPLES,
         || (),
-        |_| executor.run_phase(&mut population, fake_tick),
+        |_| executor.run_phase(&mut population, idle_tick),
     );
     std::hint::black_box(&population);
     phases.median * 1e6
@@ -175,7 +178,7 @@ fn main() {
             ]);
         }
     }
-    print_table("Per-phase cost — 4096 synthetic agents", &headers, &rows);
+    print_table("Per-phase cost — 4096 idle FCFS queues", &headers, &rows);
     write_csv("phase_cost.csv", &headers, &rows);
 
     let headers = vec!["Agent set", "Phase median (us)"];
@@ -187,7 +190,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "A1 — H-Dispatch agent-set size, 8192 synthetic agents, 4 threads",
+        "A1 — H-Dispatch agent-set size, 8192 idle FCFS queues, 4 threads",
         &headers,
         &rows,
     );
