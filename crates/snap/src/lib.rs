@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
 /// Error produced when decoding a snapshot stream.
@@ -466,8 +467,14 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
 }
 
 /// `HashMap` entries are written in sorted key order so equal maps
-/// produce identical bytes regardless of hasher state.
-impl<K: Snap + Ord + Eq + std::hash::Hash, V: Snap> Snap for HashMap<K, V> {
+/// produce identical bytes regardless of hasher: a map decodes under any
+/// hasher from the bytes of the same entries under another.
+impl<K, V, S> Snap for HashMap<K, V, S>
+where
+    K: Snap + Ord + Eq + Hash,
+    V: Snap,
+    S: BuildHasher + Default,
+{
     fn save(&self, w: &mut SnapWriter) {
         w.put_len(self.len());
         let mut keys: Vec<&K> = self.keys().collect();
@@ -479,7 +486,7 @@ impl<K: Snap + Ord + Eq + std::hash::Hash, V: Snap> Snap for HashMap<K, V> {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let len = r.take_len()?;
-        let mut out = HashMap::with_capacity(len);
+        let mut out = HashMap::with_capacity_and_hasher(len, S::default());
         for _ in 0..len {
             let k = K::load(r)?;
             let v = V::load(r)?;
@@ -491,7 +498,11 @@ impl<K: Snap + Ord + Eq + std::hash::Hash, V: Snap> Snap for HashMap<K, V> {
 
 /// `HashSet` members are written sorted, for the same canonical-bytes
 /// reason as [`HashMap`].
-impl<T: Snap + Ord + Eq + std::hash::Hash> Snap for HashSet<T> {
+impl<T, S> Snap for HashSet<T, S>
+where
+    T: Snap + Ord + Eq + Hash,
+    S: BuildHasher + Default,
+{
     fn save(&self, w: &mut SnapWriter) {
         w.put_len(self.len());
         let mut members: Vec<&T> = self.iter().collect();
@@ -502,7 +513,7 @@ impl<T: Snap + Ord + Eq + std::hash::Hash> Snap for HashSet<T> {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let len = r.take_len()?;
-        let mut out = HashSet::with_capacity(len);
+        let mut out = HashSet::with_capacity_and_hasher(len, S::default());
         for _ in 0..len {
             out.insert(T::load(r)?);
         }
@@ -707,6 +718,35 @@ mod tests {
             b.insert(k, k * 2);
         }
         assert_eq!(to_bytes(&a), to_bytes(&b));
+    }
+
+    #[test]
+    fn hasher_does_not_reach_the_bytes() {
+        use gdisim_types::{IdMap, IdSet};
+        let mut std_map = HashMap::new();
+        let mut id_map = IdMap::default();
+        let mut std_set = HashSet::new();
+        let mut id_set = IdSet::default();
+        for k in 0..200u64 {
+            let key = k.wrapping_mul(0x1_0000_0001) ^ (k << 40);
+            std_map.insert(key, (k as u32, -(k as f64)));
+            id_map.insert(key, (k as u32, -(k as f64)));
+            std_set.insert(key);
+            id_set.insert(key);
+        }
+        let map_bytes = to_bytes(&std_map);
+        assert_eq!(map_bytes, to_bytes(&id_map));
+        let as_id: IdMap<u64, (u32, f64)> = from_bytes(&map_bytes).unwrap();
+        assert_eq!(as_id, id_map);
+        let as_std: HashMap<u64, (u32, f64)> = from_bytes(&to_bytes(&id_map)).unwrap();
+        assert_eq!(as_std, std_map);
+
+        let set_bytes = to_bytes(&std_set);
+        assert_eq!(set_bytes, to_bytes(&id_set));
+        let as_id: IdSet<u64> = from_bytes(&set_bytes).unwrap();
+        assert_eq!(as_id, id_set);
+        let as_std: HashSet<u64> = from_bytes(&to_bytes(&id_set)).unwrap();
+        assert_eq!(as_std, std_set);
     }
 
     #[test]

@@ -11,11 +11,13 @@
 
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod ids;
 pub mod resources;
 pub mod time;
 pub mod units;
 
+pub use hash::{IdMap, IdSet};
 pub use ids::{AgentId, AppId, DcId, LinkId, OpTypeId, ServerId, TierId, TierKind};
 pub use resources::{RVec, ResourceKind};
 pub use time::{SimDuration, SimTime};
