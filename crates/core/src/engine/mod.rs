@@ -40,11 +40,10 @@ use gdisim_background::BackgroundScheduler;
 use gdisim_infra::Infrastructure;
 use gdisim_obs::{StepProfile, StepProfiler, PHASE_ADVANCE, PHASE_DRAIN, PHASE_ROUTE};
 use gdisim_queueing::SplitMix64;
-use gdisim_types::{AppId, DcId, OpTypeId, SimTime};
+use gdisim_types::{AppId, DcId, IdMap, IdSet, OpTypeId, SimTime};
 use gdisim_workload::{AppWorkload, Application, ArrivalSampler, OperationTemplate};
 use incidents::{ChurnRuntime, FaultRuntime, Incident};
 use resilience::ResilienceRuntime;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Pseudo-application id under which background operations report.
@@ -88,7 +87,7 @@ pub struct Simulation {
     /// Session wake calendar by session id.
     session_wakes: Deadlines,
     /// Live sessions: id -> (traffic-source index, workload site index).
-    sessions: HashMap<u64, (usize, usize)>,
+    sessions: IdMap<u64, (usize, usize)>,
     next_session: u64,
     /// Last collection boundary — idle time before it is already in the
     /// report, so lazy idle crediting never reaches further back.
@@ -129,7 +128,7 @@ pub struct Simulation {
     resilience: Option<ResilienceRuntime>,
     /// Tokens whose parent instance was failed/evicted/hedge-cancelled;
     /// their completions are swallowed silently.
-    orphans: HashSet<u64>,
+    orphans: IdSet<u64>,
     /// Shard identity, ownership table and mailboxes when this engine is
     /// one shard of a [`crate::shard::ShardedSimulation`]; `None` on a
     /// serial engine (no interception, zero overhead on the hot paths).
@@ -218,7 +217,7 @@ impl Simulation {
             incidents: Vec::new(),
             faults: None,
             session_wakes: Deadlines::default(),
-            sessions: HashMap::new(),
+            sessions: IdMap::default(),
             next_session: 0,
             meter_epoch: SimTime::ZERO,
             tick_all: false,
@@ -230,7 +229,7 @@ impl Simulation {
             polled_sources: 0,
             churn: None,
             resilience: None,
-            orphans: HashSet::new(),
+            orphans: IdSet::default(),
             shard: None,
             panic_at: None,
             obs: None,

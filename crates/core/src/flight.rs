@@ -8,9 +8,8 @@
 use crate::router::MessagePlan;
 use gdisim_background::BackgroundKind;
 use gdisim_metrics::ResponseKey;
-use gdisim_types::SimTime;
+use gdisim_types::{IdMap, SimTime};
 use gdisim_workload::{OperationTemplate, SiteBinding};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -91,8 +90,8 @@ pub struct TokenState {
 pub struct FlightTable {
     next_token: u64,
     next_instance: u64,
-    pub(crate) tokens: HashMap<u64, TokenState>,
-    pub(crate) instances: HashMap<u64, Instance>,
+    pub(crate) tokens: IdMap<u64, TokenState>,
+    pub(crate) instances: IdMap<u64, Instance>,
 }
 
 impl FlightTable {

@@ -23,7 +23,7 @@ use gdisim_obs::optrace::{
     attribute, AttemptSpan, HalfOutcome, HalfSpan, HopSeg, MsgSpan, OpRecord, OpStatus,
     OptraceCounters,
 };
-use std::collections::HashMap;
+use gdisim_types::IdMap;
 
 /// Default retention cap for settled span trees. Attribution histograms
 /// keep streaming past the cap; only the per-op trees are dropped (and
@@ -72,13 +72,13 @@ pub struct OpTraceRecorder {
     sampled: u64,
     dropped: u64,
     /// Live sampled operations, keyed by root (attempt-0 instance id).
-    live: HashMap<u64, OpRecord>,
+    live: IdMap<u64, OpRecord>,
     /// Live instance id → owning root.
-    inst_root: HashMap<u64, u64>,
+    inst_root: IdMap<u64, u64>,
     /// Live native tokens of sampled operations.
-    tokens: HashMap<u64, TokenCtx>,
+    tokens: IdMap<u64, TokenCtx>,
     /// Tokens hosted for other shards whose flights carry trace context.
-    foreign: HashMap<u64, ForeignSpan>,
+    foreign: IdMap<u64, ForeignSpan>,
     /// Settled span trees, in settle order (deterministic), capped.
     finished: Vec<OpRecord>,
     /// Streaming per-key latency attribution (uncapped: fixed footprint).
@@ -95,10 +95,10 @@ impl OpTraceRecorder {
             cap,
             sampled: 0,
             dropped: 0,
-            live: HashMap::new(),
-            inst_root: HashMap::new(),
-            tokens: HashMap::new(),
-            foreign: HashMap::new(),
+            live: IdMap::default(),
+            inst_root: IdMap::default(),
+            tokens: IdMap::default(),
+            foreign: IdMap::default(),
             finished: Vec::new(),
             agg: AttributionAggregator::new(),
         }

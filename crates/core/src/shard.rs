@@ -48,7 +48,7 @@ use crate::report::Report;
 use crate::router::Hop;
 use gdisim_metrics::{MetricsRegistry, TimeSeries};
 use gdisim_ports::{Executor, ShardedPool};
-use gdisim_types::{SimDuration, SimTime};
+use gdisim_types::{IdMap, SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 
 /// Sentinel instance id carried by tokens hosted on behalf of another
@@ -128,7 +128,7 @@ pub(crate) struct ShardCtx {
     outboxes: Vec<Outbox>,
     /// Tokens hosted for other shards: local token id → (home shard,
     /// home token id).
-    pub foreign: HashMap<u64, (u32, u64)>,
+    pub foreign: IdMap<u64, (u32, u64)>,
     /// Next expected sequence number per source shard.
     expected_seq: Vec<u64>,
     /// Envelopes sent / received over this shard's lifetime.
@@ -145,7 +145,7 @@ impl ShardCtx {
             me,
             dc_owner,
             outboxes: vec![Outbox::default(); shard_count],
-            foreign: HashMap::new(),
+            foreign: IdMap::default(),
             expected_seq: vec![0; shard_count],
             sent: 0,
             received: 0,

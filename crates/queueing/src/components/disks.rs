@@ -8,8 +8,7 @@
 
 use crate::discipline::{FcfsMulti, Station};
 use crate::job::JobToken;
-use gdisim_types::{SimDuration, SimTime};
-use std::collections::HashMap;
+use gdisim_types::{IdMap, SimDuration, SimTime};
 
 /// `n` controller → drive pipelines joined per job.
 #[derive(Clone)]
@@ -30,7 +29,7 @@ impl StripedDisks {
     /// Forks `token` into one `stripe`-byte job per disk controller.
     pub(crate) fn fork(
         &mut self,
-        joins: &mut HashMap<JobToken, u32>,
+        joins: &mut IdMap<JobToken, u32>,
         token: JobToken,
         stripe: f64,
         now: SimTime,
@@ -54,7 +53,7 @@ impl StripedDisks {
         &mut self,
         now: SimTime,
         dt: SimDuration,
-        joins: &mut HashMap<JobToken, u32>,
+        joins: &mut IdMap<JobToken, u32>,
         mut to_drive: impl FnMut(JobToken) -> Option<f64>,
         scratch: &mut Vec<JobToken>,
         completed: &mut Vec<JobToken>,
@@ -100,7 +99,7 @@ impl StripedDisks {
     }
 
     /// Discards every stripe and every join count.
-    pub(crate) fn evict_all(&mut self, joins: &mut HashMap<JobToken, u32>) {
+    pub(crate) fn evict_all(&mut self, joins: &mut IdMap<JobToken, u32>) {
         let mut discard = Vec::new();
         for q in self.ctrl.iter_mut().chain(&mut self.drive) {
             q.evict_all(&mut discard);
@@ -110,7 +109,7 @@ impl StripedDisks {
 }
 
 /// Counts one finished stripe of `token`; the last one completes it.
-fn join(joins: &mut HashMap<JobToken, u32>, token: JobToken, completed: &mut Vec<JobToken>) {
+fn join(joins: &mut IdMap<JobToken, u32>, token: JobToken, completed: &mut Vec<JobToken>) {
     let remaining = joins
         .get_mut(&token)
         .expect("stripe completed without a join entry");

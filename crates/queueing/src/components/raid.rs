@@ -11,9 +11,8 @@ use super::disks::StripedDisks;
 use crate::discipline::{FcfsMulti, Station};
 use crate::job::JobToken;
 use crate::rng::SplitMix64;
-use gdisim_types::{SimDuration, SimTime};
+use gdisim_types::{IdMap, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Datasheet specification of a RAID.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,9 +65,9 @@ pub struct RaidModel {
     disks: StripedDisks,
     /// Stripe size per in-flight job (needed when a `Qdcc` miss forwards
     /// the stripe to the drive).
-    stripe_of: HashMap<JobToken, f64>,
+    stripe_of: IdMap<JobToken, f64>,
     /// Outstanding stripe count per in-flight forked job.
-    outstanding: HashMap<JobToken, u32>,
+    outstanding: IdMap<JobToken, u32>,
     rng: SplitMix64,
     scratch: Vec<JobToken>,
 }
@@ -79,8 +78,8 @@ impl RaidModel {
         RaidModel {
             dacc: FcfsMulti::new(1, spec.array_ctrl_rate),
             disks: StripedDisks::new(spec.disks, spec.disk_ctrl_rate, spec.disk_rate),
-            stripe_of: HashMap::new(),
-            outstanding: HashMap::new(),
+            stripe_of: IdMap::default(),
+            outstanding: IdMap::default(),
             rng: SplitMix64::new(seed),
             spec,
             scratch: Vec::new(),

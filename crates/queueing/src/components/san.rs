@@ -10,9 +10,8 @@ use super::disks::StripedDisks;
 use crate::discipline::{FcfsMulti, Station};
 use crate::job::JobToken;
 use crate::rng::SplitMix64;
-use gdisim_types::{SimDuration, SimTime};
+use gdisim_types::{IdMap, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Datasheet specification of a SAN.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -88,8 +87,8 @@ pub struct SanModel {
     dacc: FcfsMulti,
     fcal: FcfsMulti,
     disks: StripedDisks,
-    demand_of: HashMap<JobToken, f64>,
-    outstanding: HashMap<JobToken, u32>,
+    demand_of: IdMap<JobToken, f64>,
+    outstanding: IdMap<JobToken, u32>,
     rng: SplitMix64,
     scratch: Vec<JobToken>,
 }
@@ -102,8 +101,8 @@ impl SanModel {
             dacc: FcfsMulti::new(1, spec.array_ctrl_rate),
             fcal: FcfsMulti::new(1, spec.fc_loop_rate),
             disks: StripedDisks::new(spec.disks, spec.disk_ctrl_rate, spec.disk_rate),
-            demand_of: HashMap::new(),
-            outstanding: HashMap::new(),
+            demand_of: IdMap::default(),
+            outstanding: IdMap::default(),
             rng: SplitMix64::new(seed),
             spec,
             scratch: Vec::new(),
@@ -365,7 +364,7 @@ impl Snap for SanModel {
         self.dacc.save(w);
         self.fcal.save(w);
         self.disks.save(w);
-        let front_stage: HashMap<JobToken, FrontStage> = self
+        let front_stage: IdMap<JobToken, FrontStage> = self
             .fcsw
             .tokens()
             .map(|t| (t, FrontStage::Switch))
@@ -385,7 +384,7 @@ impl Snap for SanModel {
         let dacc = Snap::load(r)?;
         let fcal = Snap::load(r)?;
         let disks = Snap::load(r)?;
-        HashMap::<JobToken, FrontStage>::load(r)?;
+        IdMap::<JobToken, FrontStage>::load(r)?;
         Ok(SanModel {
             spec,
             fcsw,
