@@ -15,6 +15,9 @@ pub struct FcfsMulti {
     waiting: VecDeque<JobEntry>,
     rate: f64,
     meter: UtilizationMeter,
+    /// Occupied slots of `servers`. Derived: never checkpointed, and
+    /// recounted when a checkpoint is loaded.
+    busy: usize,
 }
 
 impl FcfsMulti {
@@ -34,6 +37,7 @@ impl FcfsMulti {
             waiting: VecDeque::new(),
             rate,
             meter: UtilizationMeter::new(),
+            busy: 0,
         }
     }
 
@@ -58,6 +62,11 @@ impl Station for FcfsMulti {
     }
 
     fn tick(&mut self, _now: SimTime, dt: SimDuration, completed: &mut Vec<JobToken>) {
+        debug_assert_eq!(
+            self.busy,
+            self.servers.iter().filter(|s| s.is_some()).count(),
+            "occupied-slot count out of step with the slots"
+        );
         if self.is_empty() {
             // The general path below would record `+0.0` busy and
             // `servers·dt` elapsed: exactly one idle tick.
@@ -70,13 +79,24 @@ impl Station for FcfsMulti {
             return;
         }
         let mut used_units = 0.0;
+        // Occupied slots not yet visited. Once none lies ahead and no job
+        // waits, every later slot would serve nothing and add nothing to
+        // `used_units`, so the sweep stops there.
+        let mut ahead = self.busy;
         for slot in &mut self.servers {
+            if ahead == 0 && self.waiting.is_empty() {
+                break;
+            }
+            ahead -= usize::from(slot.is_some());
             let mut budget = per_server_budget;
             while budget > EPS {
                 let job = match slot {
                     Some(j) => j,
                     None => match self.waiting.pop_front() {
-                        Some(j) => slot.insert(j),
+                        Some(j) => {
+                            self.busy += 1;
+                            slot.insert(j)
+                        }
                         None => break,
                     },
                 };
@@ -87,6 +107,7 @@ impl Station for FcfsMulti {
                 if job.remaining <= EPS {
                     completed.push(job.token);
                     *slot = None;
+                    self.busy -= 1;
                 }
             }
         }
@@ -104,11 +125,11 @@ impl Station for FcfsMulti {
     }
 
     fn in_system(&self) -> usize {
-        self.waiting.len() + self.servers.iter().filter(|s| s.is_some()).count()
+        self.waiting.len() + self.busy
     }
 
     fn is_empty(&self) -> bool {
-        self.waiting.is_empty() && self.servers.iter().all(Option::is_none)
+        self.busy == 0 && self.waiting.is_empty()
     }
 
     fn evict_all(&mut self, into: &mut Vec<JobToken>) {
@@ -118,6 +139,33 @@ impl Station for FcfsMulti {
             }
         }
         into.extend(self.waiting.drain(..).map(|j| j.token));
+        self.busy = 0;
+    }
+}
+
+// Checkpoint support: in-service slots, the waiting line and the
+// mid-interval meter all roundtrip exactly; the occupied-slot count is
+// recounted from the slots, so it adds no bytes.
+use gdisim_snap::{Snap, SnapError, SnapReader, SnapWriter};
+
+impl Snap for FcfsMulti {
+    fn save(&self, w: &mut SnapWriter) {
+        self.servers.save(w);
+        self.waiting.save(w);
+        self.rate.save(w);
+        self.meter.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let servers: Vec<Option<JobEntry>> = Snap::load(r)?;
+        let busy = servers.iter().filter(|s| s.is_some()).count();
+        Ok(FcfsMulti {
+            servers,
+            waiting: Snap::load(r)?,
+            rate: Snap::load(r)?,
+            meter: Snap::load(r)?,
+            busy,
+        })
     }
 }
 
@@ -224,12 +272,3 @@ mod tests {
         FcfsMulti::new(1, 0.0);
     }
 }
-
-// Checkpoint support: in-service slots, the waiting line and the
-// mid-interval meter all roundtrip exactly.
-gdisim_snap::snap_struct!(FcfsMulti {
-    servers,
-    waiting,
-    rate,
-    meter,
-});

@@ -1,13 +1,15 @@
 //! The stations' empty-tick shortcuts against an independent reference.
 //!
-//! `FcfsMulti` and `PsQueue` return early from a tick with no job, and
-//! `RaidModel`/`SanModel` skip their disk section while no stripe is
-//! forked. Each shortcut claims to leave every meter with the bits the
-//! full tick body would have left. The reference stations below are the
-//! full tick bodies, written out again on the public `UtilizationMeter`
-//! with no shortcut at all; random enqueue / tick / collect / idle-gap /
-//! eviction sequences must give the same completion order, the same
-//! evictions and bit-identical utilizations on both sides.
+//! `FcfsMulti` and `PsQueue` return early from a tick with no job,
+//! `FcfsMulti` stops its server sweep once no occupied slot lies ahead
+//! and no job waits, and `RaidModel`/`SanModel` skip their disk section
+//! while no stripe is forked. Each shortcut claims to leave every meter
+//! with the bits the full tick body would have left. The reference
+//! stations below are the full tick bodies, written out again on the
+//! public `UtilizationMeter` with no shortcut at all; random enqueue /
+//! tick / collect / idle-gap / eviction / checkpoint sequences must give
+//! the same completion order, the same evictions and bit-identical
+//! utilizations on both sides.
 
 use gdisim_metrics::UtilizationMeter;
 use gdisim_queueing::{
@@ -32,6 +34,9 @@ trait Probe {
     fn collect(&mut self) -> Vec<f64>;
     fn in_system(&self) -> usize;
     fn evict_all(&mut self, into: &mut Vec<JobToken>);
+    /// Replaces the station with its decoded checkpoint. References keep
+    /// their state: a checkpoint must change nothing the driver sees.
+    fn checkpoint(&mut self) {}
 }
 
 /// The real stations, through `Station` plus any extra collector.
@@ -59,6 +64,15 @@ macro_rules! real_probe {
             }
             fn evict_all(&mut self, into: &mut Vec<JobToken>) {
                 Station::evict_all(self, into);
+            }
+            fn checkpoint(&mut self) {
+                let bytes = gdisim_snap::to_bytes(&*self);
+                *self = gdisim_snap::from_bytes(&bytes).expect("checkpoint decodes");
+                assert_eq!(
+                    gdisim_snap::to_bytes(&*self),
+                    bytes,
+                    "checkpoint re-encodes"
+                );
             }
         }
     };
@@ -539,7 +553,7 @@ impl Probe for RefSan {
 type Op = (u32, f64, u64);
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    collection::vec((0u32..20, 0.0f64..1.0, 0u64..51), 0..240)
+    collection::vec((0u32..21, 0.0f64..1.0, 0u64..51), 0..240)
 }
 
 /// Drives `real` and `reference` through `ops` in lockstep. `scale`
@@ -589,11 +603,15 @@ fn lockstep(real: &mut dyn Probe, reference: &mut dyn Probe, ops: &[Op], scale: 
                     }
                 }
             }
-            _ => {
+            19 => {
                 let (mut a, mut b) = (Vec::new(), Vec::new());
                 real.evict_all(&mut a);
                 reference.evict_all(&mut b);
                 assert_eq!(a, b, "evictions at {now:?}");
+            }
+            _ => {
+                real.checkpoint();
+                reference.checkpoint();
             }
         }
         assert_eq!(real.in_system(), reference.in_system(), "jobs at {now:?}");
@@ -611,7 +629,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn fcfs_matches_reference(ops in ops(), servers in 1usize..5) {
+    fn fcfs_matches_reference(ops in ops(), servers in 1usize..17) {
         let mut real = FcfsMulti::new(servers as u32, 1000.0);
         let mut reference = RefFcfs::new(servers, 1000.0);
         lockstep(&mut real, &mut reference, &ops, 40.0);
@@ -625,7 +643,7 @@ proptest! {
     }
 
     #[test]
-    fn cpu_matches_reference(ops in ops(), sockets in 1usize..4, cores in 1usize..4) {
+    fn cpu_matches_reference(ops in ops(), sockets in 1usize..4, cores in 1usize..17) {
         let spec = CpuSpec::new(sockets as u32, cores as u32, ghz(2.0));
         let mut real = CpuModel::new(spec);
         let mut reference = RefCpu {
