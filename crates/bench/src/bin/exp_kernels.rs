@@ -2,14 +2,16 @@
 //! tick spends its time in.
 //!
 //! Each case builds one station outside the clock and times 16 or 32
-//! consecutive 10 ms ticks of it, over 30 samples. The last three cases
+//! consecutive 10 ms ticks of it, over 30 samples. The last four cases
 //! are the shapes the paper's studies tick most: a 20-disk SAN whose only
 //! job is still in its front stages (so its 40 disk queues are empty), a
-//! 2-socket CPU with one socket busy, and an FCFS queue with nothing in
-//! it. A sample this short is partly timer cost, so compare cases by
-//! their medians, not their minima.
+//! 2-socket CPU with one socket busy, a database-tier CPU of 4 sockets ×
+//! 16 cores holding two jobs (one core busy on each of two sockets), and
+//! an FCFS queue with nothing in it. A sample this short is partly timer
+//! cost, so compare cases by their medians, not their minima.
 //!
-//! Writes `results/queue_kernels.csv` (nanoseconds per sample).
+//! Writes `results/queue_kernels.csv` (nanoseconds per sample, with the
+//! host's CPU model and hardware thread count on every row).
 
 use gdisim_bench::{print_table, sample, write_csv, Summary};
 use gdisim_queueing::{
@@ -59,10 +61,28 @@ fn cpu_2_sockets() -> CpuModel {
     CpuModel::new(CpuSpec::new(2, 8, ghz(2.5)))
 }
 
+fn cpu_db_tier() -> CpuModel {
+    CpuModel::new(CpuSpec::new(4, 16, ghz(2.5)))
+}
+
+/// The host the kernels ran on: CPU model and hardware threads.
+fn host() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|l| l.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    let threads = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!("{} ({threads} threads)", model.replace(',', " "))
+}
+
 /// One case: its name, the ticks per sample and how to time them.
 type Case = (&'static str, u64, fn(u64) -> Summary);
 
-const CASES: [Case; 8] = [
+const CASES: [Case; 9] = [
     ("fcfs_tick_64_jobs", 16, |ticks| {
         kernel(ticks, || loaded(FcfsMulti::new(8, 1000.0), 64, 100.0))
     }),
@@ -88,6 +108,10 @@ const CASES: [Case; 8] = [
     ("cpu_2_sockets_one_busy", 16, |ticks| {
         kernel(ticks, || loaded(cpu_2_sockets(), 1, 1e12))
     }),
+    // Round-robin puts the two jobs on sockets 0 and 1.
+    ("cpu_db_4x16_two_jobs", 16, |ticks| {
+        kernel(ticks, || loaded(cpu_db_tier(), 2, 1e12))
+    }),
     ("fcfs_tick_empty", 16, |ticks| {
         kernel(ticks, || loaded(FcfsMulti::new(8, 1000.0), 0, 0.0))
     }),
@@ -104,7 +128,9 @@ fn main() {
         "median_ns",
         "q3_ns",
         "max_ns",
+        "host",
     ];
+    let host = host();
     let rows: Vec<Vec<String>> = CASES
         .iter()
         .map(|&(name, ticks, run)| {
@@ -118,6 +144,7 @@ fn main() {
                 format!("{:.0}", ns.median),
                 format!("{:.0}", ns.q3),
                 format!("{:.0}", ns.max),
+                host.clone(),
             ]
         })
         .collect();
