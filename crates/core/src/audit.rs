@@ -16,6 +16,9 @@
 //! * **Due-time freshness** — a derived next-due time (the cached next
 //!   periodic-series launch) is at or before the earliest pending event
 //!   a fresh scan of its sources finds, so its drain never runs late.
+//! * **Zero-bound freshness** — every diurnal site's cached zero-arrival
+//!   bound equals a fresh derivation from its curve and the step, so
+//!   the scan's shortcut draws exactly what the plain draw would.
 //! * **Mailbox continuity** — no shard observed an out-of-order window
 //!   envelope.
 //!
@@ -69,6 +72,16 @@ pub enum InvariantViolation {
         /// Tick the earliest canonical event fires at.
         head_tick: u64,
     },
+    /// A diurnal site's cached zero-arrival bound differs from a fresh
+    /// derivation (or the cache has the wrong number of sites), so the
+    /// scan could settle a draw the plain draw would not.
+    StaleZeroBound {
+        /// Simulation time of the audit.
+        at: SimTime,
+        /// The first stale diurnal site, in scan order over all diurnal
+        /// sources.
+        site: u64,
+    },
     /// A shard observed out-of-sequence window mail.
     MailboxSeqGap {
         /// Simulation time of the audit.
@@ -118,6 +131,12 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "t={}s: class {class} has an event due at tick \
                  {head_tick} but its next-due time is later",
+                at.as_secs_f64()
+            ),
+            InvariantViolation::StaleZeroBound { at, site } => write!(
+                f,
+                "t={}s: diurnal site {site} has a cached zero-arrival bound \
+                 that a fresh derivation does not give",
                 at.as_secs_f64()
             ),
             InvariantViolation::MailboxSeqGap { at, shard, gaps } => write!(
@@ -227,6 +246,7 @@ gdisim_snap::snap_enum!(InvariantViolation {
     2 => InactiveAgentWithWork { at, agent },
     3 => LateNextDue { at, class, head_tick },
     4 => MailboxSeqGap { at, shard, gaps },
+    5 => StaleZeroBound { at, site },
 });
 gdisim_snap::snap_struct!(AuditState {
     checks,

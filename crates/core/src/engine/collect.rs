@@ -155,6 +155,16 @@ impl Simulation {
             }
         }
 
+        // The diurnal zero bounds are derived too, and a stale one would
+        // change draws: they must equal a fresh derivation bit for bit.
+        let dt_secs = self.config.dt.as_secs_f64();
+        if let Some(site) = launch::first_stale_draw(&self.site_draws, &self.traffic, dt_secs) {
+            audit.record(V::StaleZeroBound {
+                at,
+                site: site as u64,
+            });
+        }
+
         self.audit_mailboxes(at, audit);
     }
     pub(super) fn collect(&mut self, t: SimTime) {

@@ -9,22 +9,36 @@ use crate::observe::Event;
 use gdisim_background::{BackgroundKind, BackgroundLaunch};
 use gdisim_metrics::ResponseKey;
 use gdisim_types::{AppId, OpTypeId, SimDuration, SimTime};
-use gdisim_workload::{AppWorkload, OperationTemplate, SiteBinding};
+use gdisim_workload::{AppWorkload, OperationTemplate, SiteBinding, SiteDraw};
 use std::sync::Arc;
 
-/// `e^-lambda` from slot `idx` of `memo` when the slot holds `lambda`'s
-/// exact bits, recomputed and stored otherwise. Stored pairs are always
-/// `(λ, e^-λ)`, so a hit returns exactly what `(-lambda).exp()` would.
-fn memo_exp(memo: &mut Vec<(f64, f64)>, idx: usize, lambda: f64) -> f64 {
-    if memo.len() <= idx {
-        memo.resize(idx + 1, (0.0, 1.0));
-    }
-    let (memo_lambda, l) = &mut memo[idx];
-    if memo_lambda.to_bits() != lambda.to_bits() {
-        *memo_lambda = lambda;
-        *l = (-lambda).exp();
-    }
-    *l
+/// Fresh draw state for every diurnal site in `traffic`, in scan order,
+/// at a step of `dt_secs`.
+pub(super) fn site_draws(traffic: &[TrafficSource], dt_secs: f64) -> Vec<SiteDraw> {
+    traffic
+        .iter()
+        .filter_map(|source| match source {
+            TrafficSource::Diurnal { workload, .. } => Some(workload),
+            _ => None,
+        })
+        .flat_map(|workload| {
+            (0..workload.sites.len()).map(move |s| SiteDraw::new(workload, s, dt_secs))
+        })
+        .collect()
+}
+
+/// The first diurnal site, in scan order, whose zero bound in `draws`
+/// differs from a fresh derivation from `traffic` (an index past the
+/// shorter list when only the lengths differ); `None` when all agree
+/// bit for bit. The `e^-λ` memos are caches and not compared.
+pub(super) fn first_stale_draw(
+    draws: &[SiteDraw],
+    traffic: &[TrafficSource],
+    dt_secs: f64,
+) -> Option<usize> {
+    let fresh = site_draws(traffic, dt_secs);
+    let bits = |d: Option<&SiteDraw>| d.map(|d| d.zero_bound().map(f64::to_bits));
+    (0..fresh.len().max(draws.len())).find(|&i| bits(fresh.get(i)) != bits(draws.get(i)))
 }
 
 /// A failed client operation scheduled for re-issue after its backoff.
@@ -135,10 +149,11 @@ impl Simulation {
     /// whose events no longer exist.
     pub(super) fn generate_arrivals(&mut self, now: SimTime, series_due: bool) -> u64 {
         let dt_secs = self.config.dt.as_secs_f64();
-        // Every curve is evaluated at the same instant.
-        let hour = now.hour_of_day();
-        // Position of the next diurnal site in `arrival_memo`.
-        let mut memo_idx = 0;
+        // Every curve is evaluated at the same instant, whose hour is
+        // computed once, when a curve is first evaluated.
+        let mut hour = None;
+        // Position of the next diurnal site in `site_draws`.
+        let mut draw_idx = 0;
         let mut produced = 0u64;
         // The least pending series launch seen by this scan, in µs
         // (`u64::MAX`: none).
@@ -152,10 +167,16 @@ impl Simulation {
                     site_map,
                 } => {
                     for (w_site, &site) in site_map.iter().enumerate() {
-                        let lambda = workload.arrival_rate_at_gmt_hour(w_site, hour) * dt_secs;
-                        let l = memo_exp(&mut self.arrival_memo, memo_idx, lambda);
-                        memo_idx += 1;
-                        let n = self.sampler.poisson_with_exp(lambda, l);
+                        // Most steps end on one uniform and one compare,
+                        // without the curve or the hour.
+                        let n = self.site_draws[draw_idx].draw(
+                            &mut self.sampler,
+                            workload,
+                            w_site,
+                            dt_secs,
+                            || *hour.get_or_insert_with(|| now.hour_of_day()),
+                        );
+                        draw_idx += 1;
                         produced += 1 + u64::from(n);
                         for _ in 0..n {
                             self.launch_from_mix(*app_idx, site, None, now);
@@ -172,6 +193,7 @@ impl Simulation {
                 } => {
                     for w_site in 0..site_map.len() {
                         produced += 1; // the population-target check itself
+                        let hour = *hour.get_or_insert_with(|| now.hour_of_day());
                         let target = workload.sites[w_site]
                             .curve
                             .population_at_gmt_hour(hour)

@@ -110,12 +110,12 @@ pub struct Simulation {
     /// added, recomputed by every scan that launches, and rebuilt after
     /// a restore or a site split.
     next_series: Option<SimTime>,
-    /// `(λ, e^-λ)` of the last Poisson draw at each diurnal site, in
-    /// scan order, so a step whose λ is bit-equal to the previous one
-    /// skips the `exp`. Never serialized: every entry is a pure function
-    /// of its own λ, so an empty or misaligned memo (after a restore or
-    /// a site split) only costs a recomputation.
-    arrival_memo: Vec<(f64, f64)>,
+    /// Each diurnal site's zero-arrival bound and `e^-λ` memo, in scan
+    /// order. Derived from the curves and `dt`, never serialized, and
+    /// not self-checking like the memo it carries: a stale bound would
+    /// change draws, so it is rebuilt wherever the traffic sources or
+    /// the step change ([`Self::rebuild_traffic_derived`]).
+    site_draws: Vec<gdisim_workload::SiteDraw>,
     /// Traffic sources that must be visited every step regardless of
     /// due times (diurnal Poisson draws, session population tracking).
     /// When zero, the traffic scan runs only when a series launch is due.
@@ -225,7 +225,7 @@ impl Simulation {
             completed_scratch: Vec::new(),
             always_poll: false,
             next_series: None,
-            arrival_memo: Vec::new(),
+            site_draws: Vec::new(),
             polled_sources: 0,
             churn: None,
             resilience: None,
@@ -287,6 +287,7 @@ impl Simulation {
             site_map,
         });
         self.polled_sources += 1;
+        self.rebuild_traffic_derived();
         Ok(())
     }
 
@@ -317,6 +318,7 @@ impl Simulation {
             retiring: vec![0; n],
         });
         self.polled_sources += 1;
+        self.rebuild_traffic_derived();
         Ok(())
     }
 
@@ -342,8 +344,18 @@ impl Simulation {
             next: first_launch,
             stop_at,
         });
-        self.next_series = launch::series_horizon(&self.traffic);
+        self.rebuild_traffic_derived();
         Ok(())
+    }
+
+    /// Re-derives the unserialized state the traffic scan keeps beside
+    /// the sources: the next series launch and each diurnal site's draw
+    /// state. Called wherever the sources or the step change: each
+    /// `add_*` source, [`Self::set_dt`], a shard's site split and a
+    /// restore.
+    pub(super) fn rebuild_traffic_derived(&mut self) {
+        self.next_series = launch::series_horizon(&self.traffic);
+        self.site_draws = launch::site_draws(&self.traffic, self.config.dt.as_secs_f64());
     }
 
     /// Sessions currently logged in (closed-workload sources only).
@@ -491,6 +503,7 @@ impl Simulation {
         assert_eq!(self.now, SimTime::ZERO, "cannot change dt mid-run");
         assert!(!dt.is_zero(), "time step must be positive");
         self.config.dt = dt;
+        self.rebuild_traffic_derived();
     }
 
     /// Forces the always-tick loop: every agent is ticked every step,
@@ -805,12 +818,11 @@ impl Simulation {
 }
 
 // Checkpoint support. Each runtime struct's impl sits beside it in its
-// seam's module; the field order below is the format. Four members are deliberately not serialized:
+// seam's module; the field order below is the format. These members are deliberately not serialized:
 //
-// * `next_series` — derived from the series cursors, and rebuilt from
-//   them on load.
-// * `arrival_memo` — a cache of `e^-λ` keyed by λ's bits; it starts
-//   empty on load.
+// * `next_series` and `site_draws` — derived from the traffic sources
+//   and `dt`, and rebuilt from them on load (each `e^-λ` memo starts
+//   empty).
 // * the observer set beyond the trace log and the auditor — the
 //   profiler is wall-clock observation and the span recorder is never
 //   serialized (a resumed run starts with an empty recorder); the trace
@@ -888,7 +900,7 @@ impl gdisim_snap::Snap for Simulation {
             completed_scratch: Vec::new(),
             always_poll: gdisim_snap::Snap::load(r)?,
             next_series: None,
-            arrival_memo: Vec::new(),
+            site_draws: Vec::new(),
             polled_sources: gdisim_snap::Snap::load(r)?,
             churn: gdisim_snap::Snap::load(r)?,
             resilience: gdisim_snap::Snap::load(r)?,
@@ -900,7 +912,7 @@ impl gdisim_snap::Snap for Simulation {
         if let Some(audit) = gdisim_snap::Snap::load(r)? {
             sim.observers_mut().audit = Some(audit);
         }
-        sim.next_series = launch::series_horizon(&sim.traffic);
+        sim.rebuild_traffic_derived();
         Ok(sim)
     }
 }
@@ -944,6 +956,25 @@ mod tests {
         sim.run_until(SimTime::ZERO + dt * 20);
         let d = incident_drains(&sim);
         assert_eq!((d.gated, d.skipped, d.noop), (2, 18, 0));
+    }
+
+    /// A cached zero-arrival bound that no longer matches its curve is
+    /// an audit violation, so `--paranoid` would catch a missed rebuild.
+    #[test]
+    fn a_stale_zero_bound_is_an_audit_violation() {
+        let mut sim = crate::scenarios::consolidated::build(7);
+        sim.set_paranoid(true);
+        sim.run_until(SimTime::ZERO + sim.config.collect_interval);
+        assert_eq!(sim.audit_state().map(|a| a.violations), Some(0));
+        assert_eq!(sim.site_draws.len(), 18);
+        sim.site_draws[4] = launch::site_draws(&sim.traffic, 0.02)[4];
+        sim.run_until(sim.now() + sim.config.collect_interval);
+        let audit = sim.audit_state().expect("auditor armed");
+        assert!(audit.violations > 0);
+        assert!(matches!(
+            audit.recorded[0],
+            crate::audit::InvariantViolation::StaleZeroBound { site: 4, .. }
+        ));
     }
 
     /// The derived next-series time is not serialized; a restored engine

@@ -315,7 +315,7 @@ impl Simulation {
             .iter()
             .filter(|s| !matches!(s, TrafficSource::PeriodicSeries { .. }))
             .count();
-        self.next_series = super::launch::series_horizon(&self.traffic);
+        self.rebuild_traffic_derived();
     }
 
     /// Removes the background scheduler (shards other than 0 in a

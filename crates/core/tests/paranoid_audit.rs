@@ -68,3 +68,47 @@ fn paranoid_survives_a_resume() {
         audit.recorded
     );
 }
+
+/// The diurnal zero-arrival bounds are derived state that is never
+/// serialized: a restored engine, one given a new source after its
+/// first step and one whose step changed after its sources were added
+/// must each carry bounds equal to a fresh derivation.
+#[test]
+fn zero_bounds_stay_fresh_across_restore_new_sources_and_dt() {
+    use gdisim_core::scenarios::consolidated;
+    use gdisim_core::{Snapshot, SnapshotPayload};
+    use gdisim_types::SimDuration;
+    let audited = |mut sim: gdisim_core::Simulation, until: u64, what: &str| {
+        sim.set_paranoid(true);
+        sim.run_until(SimTime::from_secs(until));
+        let audit = sim.audit_state().expect("auditor armed");
+        assert!(audit.checks > 0, "{what}: the auditor never ran");
+        assert_eq!(
+            audit.violations, 0,
+            "{what}: paranoid run found violations: {:#?}",
+            audit.recorded
+        );
+    };
+
+    let mut sim = common::build("consolidated", 5);
+    sim.run_until(SimTime::from_secs(120));
+    let bytes = Snapshot::serial("consolidated", 5, sim).to_bytes();
+    let SnapshotPayload::Serial(resumed) = Snapshot::from_bytes(&bytes)
+        .expect("checkpoint decodes")
+        .payload
+    else {
+        panic!("serial payload expected");
+    };
+    audited(*resumed, 300, "restored");
+
+    let mut sim = common::build("consolidated", 5);
+    sim.step();
+    let late = consolidated::workloads().remove(1);
+    sim.add_diurnal(late)
+        .expect("the application is registered");
+    audited(sim, 180, "source added after the first step");
+
+    let mut sim = common::build("consolidated", 5);
+    sim.set_dt(SimDuration::from_millis(20));
+    audited(sim, 180, "step changed after the sources");
+}

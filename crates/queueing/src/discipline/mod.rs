@@ -9,13 +9,11 @@
 
 mod delay;
 mod fcfs;
-mod forkjoin;
 mod infinite;
 mod ps;
 
 pub use delay::DelayLine;
 pub use fcfs::FcfsMulti;
-pub use forkjoin::{Bypass, ForkJoin, Tandem};
 pub use infinite::InfiniteServer;
 pub use ps::PsQueue;
 

@@ -5,13 +5,14 @@
 //! data centers. This crate implements:
 //!
 //! * the **disciplines** those models use — multi-server FCFS, bounded
-//!   processor sharing, constant-delay lines and fork-join arrays — as
+//!   processor sharing, constant-delay lines and infinite servers — as
 //!   discrete-time *fluid* queues: at every tick a queue performs
 //!   `capacity = servers × rate × dt` work, allocated according to its
 //!   discipline. This is the paper's "a fraction of the processing is
 //!   carried out at each time step" (§4.3.3);
 //! * the **hardware component models** of Figs. 3-4..3-8 — CPU, memory,
-//!   NIC, switch, link, RAID and SAN — composed from those disciplines;
+//!   NIC, switch, link, RAID and SAN — composed from those disciplines
+//!   (RAID and SAN as fork-join arrays of disk pipelines);
 //! * **analytic** steady-state formulas (M/M/1, M/M/c Erlang-C, M/M/1/k)
 //!   used to cross-validate the fluid queues and to power the analytic
 //!   baseline of `gdisim-baselines`.
@@ -31,8 +32,6 @@ pub use components::{
     ByteRateSpec, CpuModel, CpuSpec, LinkModel, LinkSpec, MemoryModel, MemorySpec, RaidModel,
     RaidSpec, SanModel, SanSpec,
 };
-pub use discipline::{
-    Bypass, DelayLine, FcfsMulti, ForkJoin, InfiniteServer, PsQueue, Station, Tandem,
-};
+pub use discipline::{DelayLine, FcfsMulti, InfiniteServer, PsQueue, Station};
 pub use job::JobToken;
 pub use rng::SplitMix64;

@@ -5,9 +5,10 @@
 //! the combinators and the specialized model implement the same queueing
 //! network.
 
-use gdisim_queueing::{
-    Bypass, FcfsMulti, ForkJoin, JobToken, RaidModel, RaidSpec, Station, Tandem,
-};
+mod forkjoin;
+
+use forkjoin::{Bypass, ForkJoin, Tandem};
+use gdisim_queueing::{FcfsMulti, JobToken, RaidModel, RaidSpec, Station};
 use gdisim_types::units::{gbps, mb_per_s};
 use gdisim_types::{SimDuration, SimTime};
 

@@ -1,15 +1,16 @@
 //! Composition primitives: series (tandem), fork-join and probabilistic
-//! bypass.
+//! bypass — the reference composition `composition_equivalence.rs`
+//! checks the hand-rolled [`RaidModel`](gdisim_queueing::RaidModel)
+//! against.
 //!
 //! RAID and SAN models (Figs. 3-7/3-8) are fork-join structures of
 //! two-stage disk pipelines preceded by cache queues whose hits bypass the
 //! downstream stages. These combinators express that structure over any
-//! [`Station`]; they are also used by the baselines and by tests that
-//! cross-check the hand-rolled RAID/SAN models.
+//! [`Station`], one generic piece at a time; the engine builds both disk
+//! models from the specialized `StripedDisks` instead, so the combinators
+//! live beside the test that uses them rather than in the library.
 
-use super::Station;
-use crate::job::JobToken;
-use crate::rng::SplitMix64;
+use gdisim_queueing::{JobToken, SplitMix64, Station};
 use gdisim_types::{SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -171,11 +172,6 @@ impl ForkJoin {
             scratch: Vec::new(),
         }
     }
-
-    /// Number of parallel branches.
-    pub fn width(&self) -> usize {
-        self.branches.len()
-    }
 }
 
 impl Station for ForkJoin {
@@ -239,7 +235,7 @@ impl Station for ForkJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discipline::FcfsMulti;
+    use gdisim_queueing::FcfsMulti;
 
     const DT: SimDuration = SimDuration::from_millis(10);
 

@@ -6,7 +6,8 @@
 //! The global peak occurs 12:00–16:00 GMT when the NA, SA and EU bumps
 //! overlap. [`DiurnalCurve`] is that trapezoid; [`AppWorkload`] scales it
 //! to each application's published peak populations and converts active
-//! clients into Poisson operation arrivals.
+//! clients into Poisson operation arrivals, which [`SiteDraw`] samples
+//! one site and step at a time.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -150,6 +151,34 @@ pub enum PopulationCurve {
 }
 
 impl PopulationCurve {
+    /// The least and greatest population the curve names: the trapezoid's
+    /// `base` and `peak`, or the table's least and greatest entries.
+    /// Every population the curve evaluates to lies between them, up to
+    /// the rounding of its interpolation. `None` unless every parameter
+    /// (time zone and ramp hours included) is finite: a non-finite one
+    /// can make the interpolation itself NaN.
+    fn population_range(&self) -> Option<(f64, f64)> {
+        let (params, values): (&[f64], &[f64]) = match self {
+            PopulationCurve::Trapezoid(c) => (
+                &[
+                    c.tz_offset_hours,
+                    c.ramp_up_start,
+                    c.ramp_up_end,
+                    c.ramp_down_start,
+                    c.ramp_down_end,
+                ],
+                &[c.base, c.peak],
+            ),
+            PopulationCurve::Hourly(h) => (std::slice::from_ref(&h.tz_offset_hours), &h.values),
+        };
+        if !params.iter().chain(values).all(|v| v.is_finite()) {
+            return None;
+        }
+        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        Some((lo, hi))
+    }
+
     /// Population at GMT time `t`.
     pub fn population(&self, t: SimTime) -> f64 {
         self.population_at_gmt_hour(t.hour_of_day())
@@ -207,13 +236,142 @@ impl AppWorkload {
     /// Arrival rate (operations/second) from one site at GMT hour of day
     /// `hour` (`t.hour_of_day()`).
     pub fn arrival_rate_at_gmt_hour(&self, site_idx: usize, hour: f64) -> f64 {
-        self.sites[site_idx].curve.population_at_gmt_hour(hour) * self.ops_per_client_per_hour
-            / 3600.0
+        self.rate_of(self.sites[site_idx].curve.population_at_gmt_hour(hour))
+    }
+
+    /// Arrival rate (operations/second) of `population` active clients.
+    fn rate_of(&self, population: f64) -> f64 {
+        population * self.ops_per_client_per_hour / 3600.0
+    }
+
+    /// Expected arrivals from one site in the step of length `dt_secs`
+    /// that starts at GMT hour of day `hour`: the λ of that step's
+    /// Poisson draw.
+    pub fn step_expectation(&self, site_idx: usize, hour: f64, dt_secs: f64) -> f64 {
+        self.arrival_rate_at_gmt_hour(site_idx, hour) * dt_secs
+    }
+
+    /// Bounds `(λ_lo, λ_hi)` on every [`step_expectation`] one site's
+    /// curve can produce at step `dt_secs`, at any hour, rounding
+    /// included; `None` when [`PopulationCurve::population_range`] is.
+    ///
+    /// The curve's population range is widened by [`RANGE_SLACK`] of
+    /// its larger end on both sides: an interpolated population rounds
+    /// to within a few ulps of the larger of the two values it lies
+    /// between.
+    /// λ is the same expression as [`step_expectation`], which is
+    /// monotone in the population, so its values at the widened ends
+    /// bound it.
+    ///
+    /// [`step_expectation`]: Self::step_expectation
+    fn expectation_range(&self, site_idx: usize, dt_secs: f64) -> Option<(f64, f64)> {
+        let (lo, hi) = self.sites[site_idx].curve.population_range()?;
+        let pad = RANGE_SLACK * lo.abs().max(hi.abs());
+        let a = self.rate_of(lo - pad) * dt_secs;
+        let b = self.rate_of(hi + pad) * dt_secs;
+        Some((a.min(b), a.max(b)))
+    }
+
+    /// The zero-arrival bound of one site at step `dt_secs`: a `b` with
+    /// `b ≤ e^-λ` for every λ the site's curve can produce, or `None`
+    /// when some λ may fall outside `(0, 30]`.
+    ///
+    /// Inside `(0, 30]`, [`ArrivalSampler::poisson_with_exp`] always
+    /// draws a first uniform `u` and returns 0 when `u ≤ e^-λ`. So a
+    /// draw `u ≤ b` settles the step at zero arrivals without evaluating
+    /// the curve, and any other `u` continues the same draw with
+    /// [`ArrivalSampler::continue_poisson`]: count and generator state
+    /// are those of the plain draw. `b` is `e^-λ_hi` (see
+    /// [`expectation_range`](Self::expectation_range)) less a relative
+    /// [`EXP_SLACK`], which covers the libm `exp`'s error at both λ and
+    /// λ_hi.
+    fn zero_arrival_bound(&self, site_idx: usize, dt_secs: f64) -> Option<f64> {
+        let (lambda_lo, lambda_hi) = self.expectation_range(site_idx, dt_secs)?;
+        (lambda_lo > 0.0 && lambda_hi <= 30.0).then(|| (-lambda_hi).exp() * (1.0 - EXP_SLACK))
     }
 
     /// Total active population across sites at `t`.
     pub fn global_population(&self, t: SimTime) -> f64 {
         self.sites.iter().map(|s| s.curve.population(t)).sum()
+    }
+}
+
+/// Relative widening of a curve's population range in
+/// [`AppWorkload::expectation_range`]. Interpolation rounds to within
+/// about 4·2⁻⁵³ of the range's larger end; this is millions of times that.
+const RANGE_SLACK: f64 = 1e-9;
+
+/// Relative margin by which [`AppWorkload::zero_arrival_bound`] sits
+/// under `e^-λ_hi`. The libm `exp` errs by under one ulp (2⁻⁵²
+/// relative) at each of λ and λ_hi; this is thousands of times that.
+const EXP_SLACK: f64 = 1e-12;
+
+/// One diurnal site's per-step Poisson draw, which settles most steps at
+/// zero arrivals on one uniform and one compare.
+///
+/// At a fine step almost every draw ends after its first uniform `u`
+/// with zero arrivals, since `u ≤ e^-λ`. When every λ the site's curve
+/// can produce lies in `(0, 30]`, the site gets a zero bound `b` under
+/// all their `e^-λ`, and a `u ≤ b` settles the step before the curve is
+/// evaluated; any other `u` evaluates the curve and continues the same
+/// draw. Either way the count and the generator state equal those of
+/// [`ArrivalSampler::poisson`] at the step's λ.
+#[derive(Debug, Clone, Copy)]
+pub struct SiteDraw {
+    /// `None`: every step takes the plain draw.
+    zero_bound: Option<f64>,
+    /// `(λ, e^-λ)` of the last evaluated step, so a step whose λ is
+    /// bit-equal to that one skips the `exp`. Stored pairs are always
+    /// `(λ, e^-λ)`, so a hit returns exactly what `(-λ).exp()` would.
+    memo: (f64, f64),
+}
+
+impl SiteDraw {
+    /// Draw state for site `site_idx` of `workload` at a step of
+    /// `dt_secs`.
+    pub fn new(workload: &AppWorkload, site_idx: usize, dt_secs: f64) -> Self {
+        SiteDraw {
+            zero_bound: workload.zero_arrival_bound(site_idx, dt_secs),
+            memo: (0.0, 1.0),
+        }
+    }
+
+    /// The zero-arrival bound this site's draws use (`None`: the plain
+    /// draw every step).
+    pub fn zero_bound(&self) -> Option<f64> {
+        self.zero_bound
+    }
+
+    /// Draws the arrivals of one step of `dt_secs` from site `site_idx`
+    /// of `workload` (the workload and step this state was built for).
+    /// `hour` gives the step's GMT hour of day and is called only when
+    /// the curve must be evaluated.
+    pub fn draw(
+        &mut self,
+        sampler: &mut ArrivalSampler,
+        workload: &AppWorkload,
+        site_idx: usize,
+        dt_secs: f64,
+        hour: impl FnOnce() -> f64,
+    ) -> u32 {
+        let first = match self.zero_bound {
+            Some(bound) => {
+                let first = sampler.uniform();
+                if first <= bound {
+                    return 0;
+                }
+                Some(first)
+            }
+            None => None,
+        };
+        let lambda = workload.step_expectation(site_idx, hour(), dt_secs);
+        if self.memo.0.to_bits() != lambda.to_bits() {
+            self.memo = (lambda, (-lambda).exp());
+        }
+        match first {
+            Some(first) => sampler.continue_poisson(first, self.memo.1),
+            None => sampler.poisson_with_exp(lambda, self.memo.1),
+        }
     }
 }
 
@@ -254,14 +412,26 @@ impl ArrivalSampler {
             let z = (-2.0 * u1.max(1e-12).ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
             return (lambda + lambda.sqrt() * z).round().max(0.0) as u32;
         }
+        let first = self.uniform();
+        self.continue_poisson(first, l)
+    }
+
+    /// Knuth's product loop for `l = e^-λ` with `0 < λ ≤ 30`, from its
+    /// first uniform `first`, which the caller drew with
+    /// [`uniform`](Self::uniform). Together with that draw it returns
+    /// what [`poisson_with_exp`](Self::poisson_with_exp) returns and
+    /// leaves the generator where it leaves it. Splitting the draw lets
+    /// [`SiteDraw`] settle `first ≤ b ≤ l` as zero arrivals before it
+    /// knows `l`.
+    fn continue_poisson(&mut self, first: f64, l: f64) -> u32 {
         let mut k = 0u32;
-        let mut p = 1.0;
+        let mut p = first;
         loop {
-            p *= self.rng.gen::<f64>();
             if p <= l {
                 return k;
             }
             k += 1;
+            p *= self.rng.gen::<f64>();
         }
     }
 
@@ -294,6 +464,7 @@ impl ArrivalSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn curve() -> DiurnalCurve {
         DiurnalCurve::business_day(0.0, 100.0, 1000.0)
@@ -443,6 +614,151 @@ mod tests {
             );
         }
         assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
+    }
+
+    /// One-site workload over `curve` whose λ at a `dt_secs` step is
+    /// the population times `dt_secs`.
+    fn one_site(curve: PopulationCurve) -> AppWorkload {
+        AppWorkload {
+            app: "CAD".into(),
+            sites: vec![SiteLoad {
+                site: "S".into(),
+                curve,
+            }],
+            ops_per_client_per_hour: 3600.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The split draw gives the plain draw's count and leaves the
+        /// generator where the plain draw leaves it, for λ across
+        /// (0, 30]: at the plateau (λ just under λ_hi), in the ramps and
+        /// at the base, where most draws stop at the bound.
+        #[test]
+        fn split_draw_equals_the_plain_draw(
+            seed in 0u64..u64::MAX,
+            log_peak in -5.0f64..1.477,
+            base_frac in 0.001f64..1.0,
+            tz in -12.0f64..12.0,
+        ) {
+            let peak = 10f64.powf(log_peak).min(29.9);
+            let wl = one_site(DiurnalCurve::business_day(tz, peak * base_frac, peak).into());
+            let mut draw = SiteDraw::new(&wl, 0, 1.0);
+            prop_assert!(draw.zero_bound().is_some());
+            let (mut plain, mut split) = (ArrivalSampler::new(seed), ArrivalSampler::new(seed));
+            let (mut settled, mut continued) = (0, 0);
+            for quarter in 0..96 {
+                let hour = f64::from(quarter) / 4.0;
+                let lambda = wl.step_expectation(0, hour, 1.0);
+                for _ in 0..20 {
+                    let mut evaluated = false;
+                    let n = draw.draw(&mut split, &wl, 0, 1.0, || {
+                        evaluated = true;
+                        hour
+                    });
+                    prop_assert_eq!(n, plain.poisson(lambda));
+                    prop_assert_eq!(split.uniform().to_bits(), plain.uniform().to_bits());
+                    if evaluated {
+                        continued += 1;
+                    } else {
+                        settled += 1;
+                    }
+                }
+            }
+            if peak > 0.01 {
+                prop_assert!(continued > 0, "no draw got past the bound");
+            }
+            if peak < 0.1 {
+                prop_assert!(settled > 0, "the bound never settled a draw");
+            }
+            // The plateau's λ sits a relative 1e-9 under λ_hi.
+            let (_, lambda_hi) = wl.expectation_range(0, 1.0).unwrap();
+            let plateau = wl.step_expectation(0, (12.0 - tz).rem_euclid(24.0), 1.0);
+            prop_assert!(plateau <= lambda_hi && plateau >= lambda_hi * (1.0 - 1e-8));
+        }
+    }
+
+    proptest! {
+        // Each case walks two curves through a whole day of steps.
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// At every 10 ms step of a day, every λ a curve produces lies in
+        /// its `expectation_range` and `e^-λ` is at or above its zero
+        /// bound: random trapezoids (either time-zone sign, base above or
+        /// below peak, narrow and wide ramps) and random hourly tables.
+        #[test]
+        fn zero_bound_holds_at_every_step_of_a_day(
+            tz in -12.0f64..14.0,
+            base in 0.01f64..500.0,
+            peak in 0.01f64..500.0,
+            up in (0.0f64..12.0, 0.001f64..4.0),
+            down in (0.0f64..6.0, 0.001f64..6.0),
+            table in collection::vec(0.01f64..500.0, 24),
+        ) {
+            let dt_secs = 0.01;
+            let trapezoid = DiurnalCurve {
+                tz_offset_hours: tz,
+                base,
+                peak,
+                ramp_up_start: up.0,
+                ramp_up_end: up.0 + up.1,
+                ramp_down_start: up.0 + up.1 + down.0,
+                ramp_down_end: up.0 + up.1 + down.0 + down.1,
+            };
+            let workloads = [
+                one_site(trapezoid.into()),
+                one_site(HourlyTable::new(-tz, table).into()),
+            ];
+            for wl in &workloads {
+                let (lo, hi) = wl.expectation_range(0, dt_secs).unwrap();
+                let bound = wl.zero_arrival_bound(0, dt_secs).expect("fast path applies");
+                for step in 0..8_640_000u64 {
+                    let hour = SimTime::from_millis(step * 10).hour_of_day();
+                    let lambda = wl.step_expectation(0, hour, dt_secs);
+                    prop_assert!(lo <= lambda && lambda <= hi, "λ {lambda} outside [{lo}, {hi}]");
+                    prop_assert!((-lambda).exp() >= bound, "e^-{lambda} under bound {bound}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn curves_that_can_reach_zero_or_exceed_thirty_take_the_plain_draw() {
+        // A zero base: the plain draw returns 0 at λ = 0 without a
+        // uniform, so no first uniform may be drawn for it.
+        let zero_base = one_site(DiurnalCurve::business_day(0.0, 0.0, 100.0).into());
+        assert_eq!(zero_base.zero_arrival_bound(0, 0.01), None);
+        let mut draw = SiteDraw::new(&zero_base, 0, 0.01);
+        let (mut a, mut b) = (ArrivalSampler::new(3), ArrivalSampler::new(3));
+        assert_eq!(draw.draw(&mut a, &zero_base, 0, 0.01, || 3.0), 0);
+        assert_eq!(
+            a.uniform().to_bits(),
+            b.uniform().to_bits(),
+            "λ = 0 draws nothing"
+        );
+        // A zero hourly entry.
+        let mut values = vec![40.0; 24];
+        values[3] = 0.0;
+        let zero_hour = one_site(HourlyTable::new(0.0, values).into());
+        assert_eq!(zero_hour.zero_arrival_bound(0, 0.01), None);
+        // λ_hi over 30 (the normal approximation's domain), and λ_hi at
+        // 30 itself, which the padding pushes over.
+        let busy = one_site(DiurnalCurve::business_day(0.0, 1.0, 31.0).into());
+        assert_eq!(busy.zero_arrival_bound(0, 1.0), None);
+        let edge = one_site(DiurnalCurve::business_day(0.0, 1.0, 30.0).into());
+        assert_eq!(edge.zero_arrival_bound(0, 1.0), None);
+        // A base so far under the peak that interpolation can round it to
+        // zero; and a non-finite parameter.
+        let tiny = one_site(DiurnalCurve::business_day(0.0, 1e-12, 1000.0).into());
+        assert_eq!(tiny.zero_arrival_bound(0, 0.01), None);
+        let mut nan_hours = DiurnalCurve::business_day(0.0, 10.0, 100.0);
+        nan_hours.ramp_up_end = f64::NAN;
+        assert_eq!(one_site(nan_hours.into()).zero_arrival_bound(0, 0.01), None);
+        // A curve inside (0, 30] does take the bound.
+        let ok = one_site(DiurnalCurve::business_day(0.0, 1.0, 29.0).into());
+        assert!(ok.zero_arrival_bound(0, 1.0).is_some());
     }
 
     #[test]

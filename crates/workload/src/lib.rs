@@ -38,7 +38,7 @@ pub mod shape;
 pub use cascade::{CascadeStep, Endpoint, Holon, OperationTemplate, Site, SiteBinding};
 pub use catalog::{Application, Catalog};
 pub use diurnal::{
-    AppWorkload, ArrivalSampler, DiurnalCurve, HourlyTable, PopulationCurve, SiteLoad,
+    AppWorkload, ArrivalSampler, DiurnalCurve, HourlyTable, PopulationCurve, SiteDraw, SiteLoad,
 };
 pub use ownership::AccessPatternMatrix;
 pub use resilience::{
