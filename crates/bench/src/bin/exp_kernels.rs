@@ -14,9 +14,9 @@
 //! The two arrival-scan cases draw the Poisson arrivals of the
 //! consolidation study's 18 diurnal sites (3 applications × 6 data
 //! centers) for 1,000 consecutive 10 ms steps from 00:00 GMT: once by
-//! per-site curve evaluation (evaluate each curve, reuse `e^-λ` while λ
-//! holds, then `poisson_with_exp`), and once through [`SiteDraw`], which
-//! settles most draws on one uniform and one compare.
+//! per-site curve evaluation (evaluate each curve, then `poisson`), and
+//! once through [`SiteDraw`], which settles most draws on one uniform
+//! and one compare.
 //! Both draw the same counts from the same generator.
 //!
 //! Writes `results/queue_kernels.csv` (nanoseconds per sample and per
@@ -76,11 +76,11 @@ fn consolidated_sites() -> Vec<(AppWorkload, usize)> {
 
 /// Times `steps` consecutive 10 ms arrival scans over the consolidated
 /// sites, each site drawn by `draw` from its workload, its site index,
-/// the step's instant and its own slot of per-site state.
+/// the step's instant and its own per-site state.
 fn arrival_scan<T>(
     steps: u64,
     state: impl Fn(&AppWorkload, usize) -> T,
-    draw: fn(&mut ArrivalSampler, &AppWorkload, usize, SimTime, &mut T) -> u32,
+    draw: fn(&mut ArrivalSampler, &AppWorkload, usize, SimTime, &T) -> u32,
 ) -> Summary {
     let sites = consolidated_sites();
     sample(
@@ -93,7 +93,7 @@ fn arrival_scan<T>(
             let mut arrivals = 0u64;
             for step in 0..steps {
                 let now = SimTime::from_millis(step * 10);
-                for ((wl, s), slot) in sites.iter().zip(slots.iter_mut()) {
+                for ((wl, s), slot) in sites.iter().zip(slots.iter()) {
                     arrivals += u64::from(draw(sampler, wl, *s, now, slot));
                 }
             }
@@ -177,17 +177,13 @@ const CASES: [Case; 11] = [
     ("fcfs_tick_empty", 16, 1536, |ticks, batch| {
         kernel(ticks, batch, || loaded(FcfsMulti::new(8, 1000.0), 0, 0.0))
     }),
-    // Curve, memoized `e^-λ` and `poisson_with_exp` at every site.
+    // Curve and `poisson` at every site.
     ("arrival_scan_18_sites_curve", 1000, 1, |steps, _| {
         arrival_scan(
             steps,
-            |_, _| (0.0f64, 1.0f64),
-            |sampler, wl, s, now, memo| {
-                let lambda = wl.step_expectation(s, now.hour_of_day(), DT.as_secs_f64());
-                if memo.0.to_bits() != lambda.to_bits() {
-                    *memo = (lambda, (-lambda).exp());
-                }
-                sampler.poisson_with_exp(lambda, memo.1)
+            |_, _| (),
+            |sampler, wl, s, now, _| {
+                sampler.poisson(wl.step_expectation(s, now.hour_of_day(), DT.as_secs_f64()))
             },
         )
     }),

@@ -341,18 +341,18 @@ fn measure_robust(
         |sim| {
             let mut next = every.map(|e| SimTime::ZERO + e);
             loop {
-                let target = match next {
-                    Some(n) if n < horizon => n,
-                    _ => horizon,
-                };
+                let target = next.map_or(horizon, |n| n.min(horizon));
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run_until(target)))
                     .expect("benchmark run must not panic");
+                if next == Some(target) {
+                    let path = gdisim_core::snapshot::checkpoint_path(&dir, "bench", sim.now());
+                    Snapshot::write_serial(&path, "bench", 42, sim)
+                        .expect("checkpoint write succeeds");
+                    next = next.zip(every).map(|(n, e)| n + e);
+                }
                 if target >= horizon {
                     break;
                 }
-                let path = gdisim_core::snapshot::checkpoint_path(&dir, "bench", sim.now());
-                Snapshot::write_serial(&path, "bench", 42, sim).expect("checkpoint write succeeds");
-                next = next.zip(every).map(|(n, e)| n + e);
             }
             sim.active_operations()
         },
@@ -714,8 +714,9 @@ fn main() {
 
     // Robustness features: paranoid auditing and periodic checkpoint
     // writes, each priced against the plain serial run. The checkpoint
-    // cadence is a quarter of the horizon — three mid-run writes, the
-    // shape a long campaign with `--checkpoint-every` actually has.
+    // cadence is a quarter of the horizon — four writes, the last at or
+    // just before the horizon, the shape a long campaign with
+    // `--checkpoint-every` actually has.
     let mut robust_rows: Vec<Vec<String>> = Vec::new();
     let mut robust_json: Vec<String> = Vec::new();
     for case in &CASES {

@@ -45,7 +45,6 @@ fn run_experiment(idx: usize) -> ExperimentResult {
         launch_window: validation::LAUNCH_WINDOW,
         horizon: validation::HORIZON,
         seed: 1042,
-        ..TestbedConfig::default()
     };
     let phys: PhysicalRun = run_validation(series, APP_SERIES, &rc, &config);
 

@@ -886,16 +886,14 @@ fn run_engine(
         }
     }
     let wall = std::time::Instant::now();
-    // Chunk the run at checkpoint boundaries. The step loop is
-    // oblivious to where `run_until` calls split it, so the chunked run
-    // is bit-identical to an uninterrupted one.
+    // Chunk the run at checkpoint boundaries, the horizon included when
+    // the cadence lands on it. The step loop is oblivious to where
+    // `run_until` calls split it, so the chunked run is bit-identical to
+    // an uninterrupted one.
     let mut next_ckpt = every.map(|e| engine.now() + e);
     let mut last_ckpt: Option<PathBuf> = None;
     loop {
-        let target = match next_ckpt {
-            Some(n) if n < horizon => n,
-            _ => horizon,
-        };
+        let target = next_ckpt.map_or(horizon, |n| n.min(horizon));
         if let Err(crash) = engine.run_until(target, args.progress) {
             write_obs_exports(args, &engine, true)?;
             return Err(emit_crash_report(
@@ -905,18 +903,22 @@ fn run_engine(
                 last_ckpt.as_deref(),
             ));
         }
+        if next_ckpt == Some(target) {
+            let path =
+                snapshot::checkpoint_path(Path::new(&args.checkpoint_dir), scenario, engine.now());
+            match &engine {
+                Engine::Serial(sim) => Snapshot::write_serial(&path, scenario, seed, sim)?,
+                Engine::Sharded(sharded) => {
+                    Snapshot::write_sharded(&path, scenario, seed, sharded)?
+                }
+            }
+            println!("checkpoint: wrote {}", path.display());
+            last_ckpt = Some(path);
+            next_ckpt = next_ckpt.zip(every).map(|(n, e)| n + e);
+        }
         if target >= horizon {
             break;
         }
-        let path =
-            snapshot::checkpoint_path(Path::new(&args.checkpoint_dir), scenario, engine.now());
-        match &engine {
-            Engine::Serial(sim) => Snapshot::write_serial(&path, scenario, seed, sim)?,
-            Engine::Sharded(sharded) => Snapshot::write_sharded(&path, scenario, seed, sharded)?,
-        }
-        println!("checkpoint: wrote {}", path.display());
-        last_ckpt = Some(path);
-        next_ckpt = next_ckpt.zip(every).map(|(n, e)| n + e);
     }
     let elapsed = wall.elapsed();
     println!("simulated {horizon} in {elapsed:?}");

@@ -288,8 +288,6 @@ impl Simulation {
                 })
                 .collect();
         }
-        // Interval aggregates are derivable from history; drain to keep
-        // the current-interval map empty.
-        let _ = self.report.responses.collect();
+        self.report.responses.end_interval();
     }
 }

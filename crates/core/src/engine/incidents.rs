@@ -412,21 +412,15 @@ impl Simulation {
     /// re-routes around it.
     fn set_target_health(&mut self, target: &FaultTarget, fail: bool) -> Result<(), String> {
         match target {
-            FaultTarget::WanLink { label } if fail => self.infra.fail_wan_link(label),
-            FaultTarget::WanLink { label } => self.infra.restore_wan_link(label),
+            FaultTarget::WanLink { label } => self.infra.set_wan_link_down(label, fail),
             FaultTarget::Server { site, tier, server } => {
                 let dc = self
                     .infra
                     .dc_by_name(site)
                     .ok_or_else(|| format!("no data center named '{site}'"))?;
-                if fail {
-                    self.infra.fail_server(dc, *tier, *server)
-                } else {
-                    self.infra.restore_server(dc, *tier, *server)
-                }
+                self.infra.set_server_down(dc, *tier, *server, fail)
             }
-            FaultTarget::DataCenter { site } if fail => self.infra.fail_data_center(site),
-            FaultTarget::DataCenter { site } => self.infra.restore_data_center(site),
+            FaultTarget::DataCenter { site } => self.infra.set_data_center_down(site, fail),
         }
     }
 

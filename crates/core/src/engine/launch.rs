@@ -30,7 +30,7 @@ pub(super) fn site_draws(traffic: &[TrafficSource], dt_secs: f64) -> Vec<SiteDra
 /// The first diurnal site, in scan order, whose zero bound in `draws`
 /// differs from a fresh derivation from `traffic` (an index past the
 /// shorter list when only the lengths differ); `None` when all agree
-/// bit for bit. The `e^-λ` memos are caches and not compared.
+/// bit for bit.
 pub(super) fn first_stale_draw(
     draws: &[SiteDraw],
     traffic: &[TrafficSource],

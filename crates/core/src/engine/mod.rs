@@ -110,11 +110,10 @@ pub struct Simulation {
     /// added, recomputed by every scan that launches, and rebuilt after
     /// a restore or a site split.
     next_series: Option<SimTime>,
-    /// Each diurnal site's zero-arrival bound and `e^-λ` memo, in scan
-    /// order. Derived from the curves and `dt`, never serialized, and
-    /// not self-checking like the memo it carries: a stale bound would
-    /// change draws, so it is rebuilt wherever the traffic sources or
-    /// the step change ([`Self::rebuild_traffic_derived`]).
+    /// Each diurnal site's zero-arrival bound, in scan order. Derived
+    /// from the curves and `dt` and never serialized: a stale bound
+    /// would change draws, so it is rebuilt wherever the traffic sources
+    /// or the step change ([`Self::rebuild_traffic_derived`]).
     site_draws: Vec<gdisim_workload::SiteDraw>,
     /// Traffic sources that must be visited every step regardless of
     /// due times (diurnal Poisson draws, session population tracking).
@@ -821,8 +820,7 @@ impl Simulation {
 // seam's module; the field order below is the format. These members are deliberately not serialized:
 //
 // * `next_series` and `site_draws` — derived from the traffic sources
-//   and `dt`, and rebuilt from them on load (each `e^-λ` memo starts
-//   empty).
+//   and `dt`, and rebuilt from them on load.
 // * the observer set beyond the trace log and the auditor — the
 //   profiler is wall-clock observation and the span recorder is never
 //   serialized (a resumed run starts with an empty recorder); the trace

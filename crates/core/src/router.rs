@@ -343,7 +343,7 @@ mod tests {
         let eu = infra.dc_by_name("EU").unwrap();
         let mut rng = SplitMix64::new(1);
         // Partition the WAN: the cross-DC message has no route.
-        infra.fail_wan_link("L NA->EU").unwrap();
+        infra.set_wan_link_down("L NA->EU", true).unwrap();
         let step = CascadeStep::seq(
             Endpoint::client(),
             Endpoint::tier(TierKind::App, Site::Master),
@@ -359,7 +359,7 @@ mod tests {
         assert_eq!(plan.broken, Some(BrokenPlan::NoRoute));
         assert!(plan.hops.is_empty() && plan.mem_hold.is_none());
         // A tier the data center does not have: no server to land on.
-        infra.restore_wan_link("L NA->EU").unwrap();
+        infra.set_wan_link_down("L NA->EU", false).unwrap();
         let step = CascadeStep::seq(
             Endpoint::client(),
             Endpoint::tier(TierKind::Db, Site::Master),

@@ -77,8 +77,8 @@ fn serial_resume_is_bit_identical_on_every_scenario() {
     }
 }
 
-/// The arrival scan keeps `e^-λ` per site across steps in a memo that
-/// checkpoints do not carry. Resuming consolidation at 00:05 GMT, while
+/// The arrival scan's per-site draw state is derived from the curves,
+/// not carried by checkpoints. Resuming consolidation at 00:05 GMT, while
 /// AS (GMT+8) is mid-ramp (its λ changes every step) and AUS (GMT+10)
 /// sits on its plateau (its λ repeats), must still give the
 /// uninterrupted report.

@@ -157,6 +157,45 @@ fn resume_reproduces_the_uninterrupted_run() {
     );
 }
 
+/// A run whose length is a multiple of the cadence saves its end state,
+/// and resuming that file to the same horizon reprints the run's output.
+#[test]
+fn checkpoint_at_the_horizon_is_written() {
+    let scratch = Scratch::new("horizon");
+    let full = gdisim(&[
+        "run",
+        "--scenario",
+        "churned",
+        "--minutes",
+        "2",
+        "--checkpoint-every",
+        "60",
+        "--checkpoint-dir",
+        scratch.path(),
+    ]);
+    assert!(
+        full.status.success(),
+        "{}",
+        String::from_utf8_lossy(&full.stderr)
+    );
+    let ckpt = PathBuf::from(scratch.path()).join("churned-t0000000120.ckpt");
+    assert!(
+        ckpt.exists(),
+        "the horizon checkpoint must exist at {}",
+        ckpt.display()
+    );
+
+    let resumed = gdisim(&["run", "--resume", ckpt.to_str().unwrap(), "--minutes", "2"]);
+    assert!(
+        resumed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    let want = comparable(&full.stdout);
+    assert!(!want.is_empty(), "the comparison must cover real output");
+    assert_eq!(want, comparable(&resumed.stdout));
+}
+
 #[test]
 fn resume_rejects_a_mismatched_scenario() {
     let scratch = Scratch::new("mismatch");

@@ -49,7 +49,7 @@ impl Tier {
     /// Picks the next healthy server round-robin.
     ///
     /// # Panics
-    /// Panics if every server is down — [`Infrastructure::fail_server`]
+    /// Panics if every server is down — [`Infrastructure::set_server_down`]
     /// refuses to take the last one out, so this cannot happen through
     /// the public API.
     pub fn pick_server(&mut self) -> usize {
@@ -348,38 +348,27 @@ impl Infrastructure {
         }
     }
 
-    /// Marks a WAN link as failed (by its `L from->to` label) and
-    /// re-routes around it, activating backup links. Messages already on
-    /// the link finish their transfer — the failure affects routing, not
-    /// in-flight frames.
+    /// Fails (`down`) or restores a WAN link, by its `L from->to`
+    /// label, and re-routes: a failure activates backup links. Messages
+    /// already on a failed link finish their transfer — the failure
+    /// affects routing, not in-flight frames.
     ///
     /// # Errors
     /// Returns an error if no link carries that label.
-    pub fn fail_wan_link(&mut self, label: &str) -> Result<(), String> {
+    pub fn set_wan_link_down(&mut self, label: &str, down: bool) -> Result<(), String> {
         let idx = self
             .wan_links
             .iter()
             .position(|(l, _)| l == label)
             .ok_or_else(|| format!("no WAN link labelled '{label}'"))?;
-        if !self.failed_links.contains(&idx) {
-            self.failed_links.push(idx);
+        if self.failed_links.contains(&idx) != down {
+            if down {
+                self.failed_links.push(idx);
+            } else {
+                self.failed_links.retain(|i| *i != idx);
+            }
             self.recompute_routes();
         }
-        Ok(())
-    }
-
-    /// Restores a previously failed WAN link and re-routes.
-    ///
-    /// # Errors
-    /// Returns an error if no link carries that label.
-    pub fn restore_wan_link(&mut self, label: &str) -> Result<(), String> {
-        let idx = self
-            .wan_links
-            .iter()
-            .position(|(l, _)| l == label)
-            .ok_or_else(|| format!("no WAN link labelled '{label}'"))?;
-        self.failed_links.retain(|i| *i != idx);
-        self.recompute_routes();
         Ok(())
     }
 
@@ -391,39 +380,19 @@ impl Infrastructure {
             .collect()
     }
 
-    /// Marks a server as failed: it receives no new work (its in-flight
-    /// jobs drain — fail-stop for admission, matching a server pulled
-    /// from the load balancer).
+    /// Fails (`down`) or restores a server. A failed server receives no
+    /// new work (its in-flight jobs drain — fail-stop for admission,
+    /// matching a server pulled from the load balancer).
     ///
     /// # Errors
     /// Refuses to take the tier's last healthy server down, or errors if
     /// the tier/server does not exist.
-    pub fn fail_server(&mut self, dc: DcId, kind: TierKind, server: usize) -> Result<(), String> {
-        let dc_ref = &mut self.dcs[dc.index()];
-        let tier = dc_ref
-            .tiers
-            .iter_mut()
-            .find(|t| t.kind == kind)
-            .ok_or_else(|| format!("no {kind} tier in {}", dc_ref.name))?;
-        if server >= tier.servers.len() {
-            return Err(format!("{kind} has only {} servers", tier.servers.len()));
-        }
-        if !tier.down[server] && tier.healthy_count() == 1 {
-            return Err(format!("cannot fail the last healthy {kind} server"));
-        }
-        tier.down[server] = true;
-        Ok(())
-    }
-
-    /// Returns a failed server to service.
-    ///
-    /// # Errors
-    /// Errors if the tier or server does not exist.
-    pub fn restore_server(
+    pub fn set_server_down(
         &mut self,
         dc: DcId,
         kind: TierKind,
         server: usize,
+        down: bool,
     ) -> Result<(), String> {
         let dc_ref = &mut self.dcs[dc.index()];
         let tier = dc_ref
@@ -434,38 +403,27 @@ impl Infrastructure {
         if server >= tier.servers.len() {
             return Err(format!("{kind} has only {} servers", tier.servers.len()));
         }
-        tier.down[server] = false;
+        if down && !tier.down[server] && tier.healthy_count() == 1 {
+            return Err(format!("cannot fail the last healthy {kind} server"));
+        }
+        tier.down[server] = down;
         Ok(())
     }
 
-    /// Takes a whole data center out of service: it admits no new work
+    /// Takes a whole data center out of service (`down`) or returns it,
+    /// and re-routes. A failed data center admits no new work
     /// ([`pick_server_with`](Self::pick_server_with) and
     /// [`route`](Self::route) report it unavailable) and every WAN link
     /// touching the site leaves the routing graph.
     ///
     /// # Errors
     /// Errors if no data center carries that site name.
-    pub fn fail_data_center(&mut self, site: &str) -> Result<(), String> {
+    pub fn set_data_center_down(&mut self, site: &str, down: bool) -> Result<(), String> {
         let id = self
             .dc_by_name(site)
             .ok_or_else(|| format!("no data center named '{site}'"))?;
-        if !self.dc_down[id.index()] {
-            self.dc_down[id.index()] = true;
-            self.recompute_routes();
-        }
-        Ok(())
-    }
-
-    /// Returns a failed data center to service and re-routes.
-    ///
-    /// # Errors
-    /// Errors if no data center carries that site name.
-    pub fn restore_data_center(&mut self, site: &str) -> Result<(), String> {
-        let id = self
-            .dc_by_name(site)
-            .ok_or_else(|| format!("no data center named '{site}'"))?;
-        if self.dc_down[id.index()] {
-            self.dc_down[id.index()] = false;
+        if self.dc_down[id.index()] != down {
+            self.dc_down[id.index()] = down;
             self.recompute_routes();
         }
         Ok(())
@@ -512,11 +470,6 @@ impl Infrastructure {
     /// Reporting metadata of one agent.
     pub fn meta(&self, id: AgentId) -> &ComponentMeta {
         &self.metas[id.index()]
-    }
-
-    /// All metas, parallel to the component registry.
-    pub fn metas(&self) -> &[ComponentMeta] {
-        &self.metas
     }
 
     /// All memory models (indexed by [`Server::memory`]).
@@ -896,17 +849,22 @@ mod tests {
         let eu = infra.dc_by_name("EU").unwrap();
         let primary = infra.route(na, eu).unwrap()[0];
 
-        infra.fail_wan_link("L NA->EU").expect("known link");
+        infra
+            .set_wan_link_down("L NA->EU", true)
+            .expect("known link");
         assert_eq!(infra.failed_wan_links(), vec!["L NA->EU"]);
         let rerouted = infra.route(na, eu).expect("backup path exists").to_vec();
         assert_eq!(rerouted.len(), 1);
         assert_ne!(rerouted[0], primary, "traffic must shift to the backup");
 
-        infra.restore_wan_link("L NA->EU").expect("known link");
+        infra
+            .set_wan_link_down("L NA->EU", false)
+            .expect("known link");
         assert!(infra.failed_wan_links().is_empty());
         assert_eq!(infra.route(na, eu).unwrap()[0], primary, "primary restored");
 
-        assert!(infra.fail_wan_link("L MARS->VENUS").is_err());
+        assert!(infra.set_wan_link_down("L MARS->VENUS", true).is_err());
+        assert!(infra.set_wan_link_down("L MARS->VENUS", false).is_err());
     }
 
     #[test]
@@ -946,7 +904,7 @@ mod tests {
         let na = infra.dc_by_name("NA").unwrap();
         // Two app servers: fail server 0, all picks go to 1.
         infra
-            .fail_server(na, TierKind::App, 0)
+            .set_server_down(na, TierKind::App, 0, true)
             .expect("redundancy available");
         for _ in 0..4 {
             let r = infra.pick_server(na, TierKind::App).unwrap();
@@ -958,10 +916,10 @@ mod tests {
             .unwrap();
         assert_eq!(r.server, 1);
         // The last healthy server is protected.
-        assert!(infra.fail_server(na, TierKind::App, 1).is_err());
+        assert!(infra.set_server_down(na, TierKind::App, 1, true).is_err());
         // Restoration brings server 0 back into rotation.
         infra
-            .restore_server(na, TierKind::App, 0)
+            .set_server_down(na, TierKind::App, 0, false)
             .expect("known server");
         let picks: Vec<usize> = (0..4)
             .map(|_| infra.pick_server(na, TierKind::App).unwrap().server)
@@ -969,10 +927,11 @@ mod tests {
         assert!(picks.contains(&0), "restored server rejoins: {picks:?}");
         // Unknown tier/server indices error cleanly.
         assert!(
-            infra.fail_server(na, TierKind::Db, 0).is_err(),
+            infra.set_server_down(na, TierKind::Db, 0, true).is_err(),
             "no Db tier in this spec"
         );
-        assert!(infra.fail_server(na, TierKind::App, 9).is_err());
+        assert!(infra.set_server_down(na, TierKind::App, 9, true).is_err());
+        assert!(infra.set_server_down(na, TierKind::App, 9, false).is_err());
     }
 
     #[test]
@@ -980,7 +939,9 @@ mod tests {
         let mut infra = Infrastructure::build(&three_site_spec(), 42).expect("build");
         let na = infra.dc_by_name("NA").unwrap();
         let aus = infra.dc_by_name("AUS").unwrap();
-        infra.fail_wan_link("L AS1->AUS").expect("known link");
+        infra
+            .set_wan_link_down("L AS1->AUS", true)
+            .expect("known link");
         assert!(
             infra.route(na, aus).is_none(),
             "AUS is unreachable without its only link"

@@ -1,5 +1,5 @@
-//! Observability primitives: counters, gauges and log-bucketed
-//! histograms, plus a named registry snapshot.
+//! Observability primitives: a log-bucketed histogram and a named
+//! registry snapshot of counters, gauges and histograms.
 //!
 //! MonALISA-style monitoring (Legrand et al., PAPERS.md) decouples the
 //! measurement plane from the system under measurement: cheap in-process
@@ -26,62 +26,6 @@ const SUB: u64 = 1 << SUB_BITS;
 /// Total bucket count: a linear region `[0, SUB)` plus `SUB` sub-buckets
 /// for every octave up to `2^63`.
 const BUCKETS: usize = (SUB + (64 - SUB_BITS as u64) * SUB) as usize;
-
-/// A monotonically increasing `u64` counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A last-value-wins `f64` gauge.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Gauge(0.0)
-    }
-
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&mut self, v: f64) {
-        self.0 = v;
-    }
-
-    /// Adds to the gauge.
-    #[inline]
-    pub fn add(&mut self, v: f64) {
-        self.0 += v;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        self.0
-    }
-}
 
 /// HDR-style log-linear histogram over `u64` values.
 ///
@@ -242,56 +186,24 @@ impl LogHistogram {
             .map(|(i, &c)| (Self::bucket_lower(i), Self::bucket_upper(i), c))
     }
 
-    /// Summary snapshot (count, sum, min/max, p50/p95/p99).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            min: self.min(),
-            max: self.max(),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-        }
-    }
-
-    /// Snapshot plus non-empty buckets as a JSON value.
+    /// Summary (count, sum, min/max, p50/p95/p99) plus non-empty
+    /// buckets as a JSON value.
     pub fn to_value(&self) -> Value {
-        let snap = self.snapshot();
         let buckets: Vec<Value> = self
             .nonzero_buckets()
             .map(|(lo, hi, c)| Value::Array(vec![Value::U64(lo), Value::U64(hi), Value::U64(c)]))
             .collect();
         Value::Object(vec![
-            ("count".into(), Value::U64(snap.count)),
-            ("sum".into(), Value::U64(snap.sum)),
-            ("min".into(), Value::U64(snap.min)),
-            ("max".into(), Value::U64(snap.max)),
-            ("p50".into(), Value::U64(snap.p50)),
-            ("p95".into(), Value::U64(snap.p95)),
-            ("p99".into(), Value::U64(snap.p99)),
+            ("count".into(), Value::U64(self.count())),
+            ("sum".into(), Value::U64(self.sum())),
+            ("min".into(), Value::U64(self.min())),
+            ("max".into(), Value::U64(self.max())),
+            ("p50".into(), Value::U64(self.quantile(0.50))),
+            ("p95".into(), Value::U64(self.quantile(0.95))),
+            ("p99".into(), Value::U64(self.quantile(0.99))),
             ("buckets".into(), Value::Array(buckets)),
         ])
     }
-}
-
-/// Point-in-time summary of a [`LogHistogram`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Recorded values.
-    pub count: u64,
-    /// Exact sum.
-    pub sum: u64,
-    /// Exact minimum (0 when empty).
-    pub min: u64,
-    /// Exact maximum (0 when empty).
-    pub max: u64,
-    /// Median (bucket-resolved).
-    pub p50: u64,
-    /// 95th percentile (bucket-resolved).
-    pub p95: u64,
-    /// 99th percentile (bucket-resolved).
-    pub p99: u64,
 }
 
 /// A named snapshot of counters, gauges and histograms — what
@@ -412,18 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_gauge_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let mut g = Gauge::new();
-        g.set(2.5);
-        g.add(0.5);
-        assert!((g.get() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn linear_region_buckets_are_exact() {
         // Values below SUB each get their own bucket.
         for v in 0..SUB {
@@ -531,7 +431,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.nonzero_buckets().count(), 0);
-        assert_eq!(h.snapshot(), HistogramSnapshot::default());
     }
 
     #[test]
@@ -540,11 +439,15 @@ mod tests {
         for v in [3u64, 3, 100, 5000] {
             h.record(v);
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 4);
-        assert_eq!(snap.max, 5000);
         let v = h.to_value();
-        assert_eq!(v.get("count").and_then(Value::as_u64), Some(4));
+        let field = |k: &str| v.get(k).and_then(Value::as_u64);
+        assert_eq!(field("count"), Some(4));
+        assert_eq!(field("sum"), Some(5106));
+        assert_eq!(field("min"), Some(3));
+        assert_eq!(field("max"), Some(5000));
+        assert_eq!(field("p50"), Some(h.quantile(0.50)));
+        assert_eq!(field("p95"), Some(h.quantile(0.95)));
+        assert_eq!(field("p99"), Some(5000));
         let buckets = v.get("buckets").unwrap().as_array().unwrap();
         assert_eq!(buckets.len(), 3, "two 3s share one exact bucket");
     }

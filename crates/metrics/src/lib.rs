@@ -20,8 +20,8 @@ pub mod series;
 pub mod summary;
 
 pub use attribution::{AttributionAggregator, OpComponents};
-pub use instruments::{Counter, Gauge, HistogramSnapshot, LogHistogram, MetricsRegistry};
-pub use registry::{ResponseKey, ResponseStats, ResponseTimeRegistry};
+pub use instruments::{LogHistogram, MetricsRegistry};
+pub use registry::{ResponseKey, ResponseTimeRegistry};
 pub use sampler::{GaugeMeter, UtilizationMeter};
 pub use series::TimeSeries;
 pub use summary::{mean, mean_stddev, rmse, rmse_between, Summary};

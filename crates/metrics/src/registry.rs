@@ -3,9 +3,9 @@
 //! The platform "registers the duration of the operations finalized during
 //! the measurement interval … and averages the samples to provide a
 //! snapshot of the response times by operation and data center" (§4.3.1).
-//! [`ResponseTimeRegistry`] implements exactly that: completions are
-//! recorded under an `(application, operation, data center)` key and
-//! drained into per-key statistics at each collection.
+//! [`ResponseTimeRegistry`] records every completion under an
+//! `(application, operation, data center)` key and keeps the whole run,
+//! from which any interval's snapshot can be taken.
 
 use crate::instruments::LogHistogram;
 use gdisim_types::{AppId, DcId, OpTypeId, SimDuration, SimTime};
@@ -23,27 +23,21 @@ pub struct ResponseKey {
     pub dc: DcId,
 }
 
-/// Aggregated completions for one key over one measurement interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ResponseStats {
-    /// Number of operations completed in the interval.
-    pub completed: u64,
-    /// Mean response time in seconds.
-    pub mean_secs: f64,
-    /// Maximum response time in seconds.
-    pub max_secs: f64,
-}
-
-#[derive(Debug, Clone, Default)]
+/// One key's completions since the last [`ResponseTimeRegistry::end_interval`].
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Accum {
     count: u64,
     total_secs: f64,
     max_secs: f64,
 }
 
-/// Records operation completions and drains them into interval snapshots.
+/// Records operation completions over the whole run.
 #[derive(Debug, Clone, Default)]
 pub struct ResponseTimeRegistry {
+    /// Per-key aggregates of the current collection interval. Nothing
+    /// reads them: they exist because the `GDISNAP` v2 encoding carries
+    /// them, and a checkpoint taken between collections holds their
+    /// values.
     current: BTreeMap<ResponseKey, Accum>,
     /// Full-run history: every completion, kept for RMSE comparisons in
     /// the validation experiments.
@@ -53,12 +47,12 @@ pub struct ResponseTimeRegistry {
     /// fixed footprint for day-scale runs, ~3% quantile error.
     hist: BTreeMap<ResponseKey, LogHistogram>,
     use_histograms: bool,
-    /// Completions ever recorded (both modes; survives `collect`).
+    /// Completions ever recorded (both modes; survives `end_interval`).
     total_recorded: u64,
 }
 
 impl ResponseTimeRegistry {
-    /// Creates a registry that only keeps interval aggregates.
+    /// Creates a registry that keeps no per-completion history.
     pub fn new() -> Self {
         Self::default()
     }
@@ -74,9 +68,8 @@ impl ResponseTimeRegistry {
 
     /// Switches full-run retention from exact per-completion vectors to
     /// log-bucketed [`LogHistogram`]s of duration microseconds. The
-    /// interval aggregates drained by [`Self::collect`] are computed from
-    /// the exact durations either way, so collected snapshots — and
-    /// everything downstream of them — are bit-identical across modes.
+    /// interval aggregates are computed from the exact durations either
+    /// way.
     pub fn enable_histograms(&mut self) {
         self.keep_history = false;
         self.use_histograms = true;
@@ -109,22 +102,10 @@ impl ResponseTimeRegistry {
         }
     }
 
-    /// Drains the current interval into per-key statistics.
-    pub fn collect(&mut self) -> BTreeMap<ResponseKey, ResponseStats> {
-        let drained = std::mem::take(&mut self.current);
-        drained
-            .into_iter()
-            .map(|(k, a)| {
-                (
-                    k,
-                    ResponseStats {
-                        completed: a.count,
-                        mean_secs: a.total_secs / a.count as f64,
-                        max_secs: a.max_secs,
-                    },
-                )
-            })
-            .collect()
+    /// Clears the current interval's aggregates; the collector calls it
+    /// at every collection.
+    pub fn end_interval(&mut self) {
+        self.current.clear();
     }
 
     /// Completions recorded for `key` over the whole run (history mode).
@@ -207,22 +188,23 @@ mod tests {
         r.record(key(0), SimTime::from_secs(2), SimDuration::from_secs(4));
         r.record(key(1), SimTime::from_secs(2), SimDuration::from_secs(1));
 
-        let snap = r.collect();
-        assert_eq!(snap.len(), 2);
-        let s0 = snap[&key(0)];
-        assert_eq!(s0.completed, 2);
-        assert!((s0.mean_secs - 3.0).abs() < 1e-12);
-        assert!((s0.max_secs - 4.0).abs() < 1e-12);
+        assert_eq!(r.current.len(), 2);
+        let s0 = &r.current[&key(0)];
+        assert_eq!(s0.count, 2);
+        assert_eq!(s0.total_secs, 6.0);
+        assert_eq!(s0.max_secs, 4.0);
 
-        // Second collection is empty.
-        assert!(r.collect().is_empty());
+        // The interval ends; the run's count survives it.
+        r.end_interval();
+        assert!(r.current.is_empty());
+        assert_eq!(r.total_recorded(), 3);
     }
 
     #[test]
     fn history_mode_retains_everything() {
         let mut r = ResponseTimeRegistry::with_history();
         r.record(key(0), SimTime::from_secs(1), SimDuration::from_secs(2));
-        r.collect();
+        r.end_interval();
         r.record(key(0), SimTime::from_secs(9), SimDuration::from_secs(6));
         assert_eq!(r.history(key(0)).len(), 2);
         assert_eq!(r.history_mean(key(0)), Some(4.0));
@@ -255,7 +237,7 @@ mod tests {
         for k in [key(0), key(1), key(2)] {
             assert_eq!(a.history(k), whole.history(k), "history for {k:?}");
         }
-        assert_eq!(a.collect(), whole.collect());
+        assert_eq!(a.current, whole.current);
     }
 
     #[test]
@@ -272,11 +254,9 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), 4_000_000);
         assert_eq!(r.histogram_keys().collect::<Vec<_>>(), vec![key(0)]);
-        // ...and the interval snapshot is exact, same as vector mode.
-        let snap = r.collect();
-        let s0 = snap[&key(0)];
-        assert_eq!(s0.completed, 2);
-        assert!((s0.mean_secs - 3.0).abs() < 1e-12);
+        // ...and the interval aggregate is exact, same as vector mode.
+        let s0 = &r.current[&key(0)];
+        assert_eq!((s0.count, s0.total_secs, s0.max_secs), (2, 6.0, 4.0));
         assert_eq!(r.total_recorded(), 2);
     }
 }

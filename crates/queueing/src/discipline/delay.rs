@@ -31,11 +31,6 @@ impl DelayLine {
             gauge: GaugeMeter::new(),
         }
     }
-
-    /// The configured delay.
-    pub fn delay(&self) -> SimDuration {
-        self.delay
-    }
 }
 
 impl Station for DelayLine {

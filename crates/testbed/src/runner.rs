@@ -24,16 +24,8 @@ pub struct TestbedConfig {
     pub launch_window: SimDuration,
     /// Hard experiment horizon.
     pub horizon: SimDuration,
-    /// Sampling cadence (6 s in §5.2.4).
-    pub sample_every: SimDuration,
-    /// Coefficient of variation of the log-normal service jitter.
-    pub service_cv: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Cores per tier CPU pool: `[Tapp, Tdb, Tfs, Tidx]`.
-    pub cpu_cores: [usize; 4],
-    /// Parallel requests each tier's storage sustains.
-    pub disk_channels: [usize; 4],
 }
 
 impl Default for TestbedConfig {
@@ -42,15 +34,20 @@ impl Default for TestbedConfig {
             periods: (15, 36, 60),
             launch_window: SimDuration::from_secs(33 * 60),
             horizon: SimDuration::from_secs(38 * 60),
-            sample_every: SimDuration::from_secs(6),
-            service_cv: 0.08,
             seed: 0x5EED,
-            // Matches the downscaled lab: Tapp 2×2, Tdb 2, Tfs 2, Tidx 2.
-            cpu_cores: [4, 2, 2, 2],
-            disk_channels: [2, 4, 4, 2],
         }
     }
 }
+
+/// Sampling cadence (6 s in §5.2.4).
+const SAMPLE_EVERY: SimDuration = SimDuration::from_secs(6);
+/// Coefficient of variation of the log-normal service jitter.
+const SERVICE_CV: f64 = 0.08;
+/// Cores per tier CPU pool, `[Tapp, Tdb, Tfs, Tidx]`; matches the
+/// downscaled lab: Tapp 2×2, Tdb 2, Tfs 2, Tidx 2.
+const CPU_CORES: [usize; 4] = [4, 2, 2, 2];
+/// Parallel requests each tier's storage sustains.
+const DISK_CHANNELS: [usize; 4] = [2, 4, 4, 2];
 
 /// The traces a testbed run produces.
 #[derive(Debug)]
@@ -116,11 +113,10 @@ pub fn run_validation(
     };
 
     // Pools 0..4 are tier CPUs, 4..8 tier disks.
-    let mut pools: Vec<MachinePool> = config
-        .cpu_cores
+    let mut pools: Vec<MachinePool> = CPU_CORES
         .iter()
+        .chain(&DISK_CHANNELS)
         .map(|c| MachinePool::new(*c))
-        .chain(config.disk_channels.iter().map(|c| MachinePool::new(*c)))
         .collect();
 
     let mut q: EventQueue<Ev> = EventQueue::new();
@@ -128,7 +124,7 @@ pub fn run_validation(
     for s in 0..3 {
         q.schedule(SimTime::ZERO, Ev::Launch { series: s });
     }
-    q.schedule(SimTime::ZERO + config.sample_every, Ev::Sample);
+    q.schedule(SimTime::ZERO + SAMPLE_EVERY, Ev::Sample);
 
     let mut jobs: HashMap<u64, SeriesJob> = HashMap::new();
     let mut job_series: HashMap<u64, usize> = HashMap::new();
@@ -152,20 +148,12 @@ pub fn run_validation(
             let overhead = rates.per_message_overhead;
             match step.to.holon {
                 Holon::Client => {
-                    let svc = sample(
-                        $rng,
-                        step.r.cycles / rates.client_clock_hz,
-                        config.service_cv,
-                    );
+                    let svc = sample($rng, step.r.cycles / rates.client_clock_hz, SERVICE_CV);
                     $q.schedule($now + overhead + svc, Ev::ClientDone { job: $job_id });
                 }
                 Holon::Tier(kind) => {
                     let pool = tier_index(kind);
-                    let svc = sample(
-                        $rng,
-                        step.r.cycles / rates.server_clock_hz,
-                        config.service_cv,
-                    );
+                    let svc = sample($rng, step.r.cycles / rates.server_clock_hz, SERVICE_CV);
                     let arrive = $now + overhead;
                     if let Some((j, finish)) = pools[pool].offer(arrive, $job_id, svc) {
                         $q.schedule(
@@ -241,7 +229,7 @@ pub fn run_validation(
                     let svc = sample(
                         &mut rng,
                         step.r.disk_bytes / rates.disk_bytes_per_sec,
-                        config.service_cv,
+                        SERVICE_CV,
                     );
                     if let Some((j, finish)) = pools[disk_pool].offer(now, job, svc) {
                         q.schedule(
@@ -280,7 +268,7 @@ pub fn run_validation(
             }
             Ev::Sample => {
                 for (i, tier) in TIERS.iter().enumerate() {
-                    let stats = pools[i].stats(now, config.sample_every);
+                    let stats = pools[i].stats(now, SAMPLE_EVERY);
                     run.tier_cpu
                         .get_mut(tier.label())
                         .expect("tier series")
@@ -288,10 +276,10 @@ pub fn run_validation(
                 }
                 // Also reset disk meters so their windows stay aligned.
                 for pool in pools.iter_mut().skip(4) {
-                    let _ = pool.stats(now, config.sample_every);
+                    let _ = pool.stats(now, SAMPLE_EVERY);
                 }
                 run.concurrent.push(now, jobs.len() as f64);
-                let next = now + config.sample_every;
+                let next = now + SAMPLE_EVERY;
                 if next <= horizon {
                     q.schedule(next, Ev::Sample);
                 }

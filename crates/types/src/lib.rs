@@ -19,5 +19,5 @@ pub mod units;
 
 pub use hash::{IdMap, IdSet};
 pub use ids::{AgentId, AppId, DcId, LinkId, OpTypeId, ServerId, TierId, TierKind};
-pub use resources::{RVec, ResourceKind};
+pub use resources::RVec;
 pub use time::{SimDuration, SimTime};

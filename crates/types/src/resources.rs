@@ -9,19 +9,6 @@
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul};
 
-/// Which scalar of the resource vector a component consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ResourceKind {
-    /// `Rp`: CPU cycles consumed by the destination CPU queue.
-    Cycles,
-    /// `Rt`: bytes moved through NICs, switches and links.
-    NetBytes,
-    /// `Rm`: bytes of memory held for the duration of the processing.
-    MemBytes,
-    /// `Rd`: bytes read/written by the RAID or SAN.
-    DiskBytes,
-}
-
 /// The resource parameter array `R` attached to a cascade message.
 ///
 /// ```
@@ -93,27 +80,6 @@ impl RVec {
         }
     }
 
-    /// Returns the named scalar.
-    pub fn get(&self, kind: ResourceKind) -> f64 {
-        match kind {
-            ResourceKind::Cycles => self.cycles,
-            ResourceKind::NetBytes => self.net_bytes,
-            ResourceKind::MemBytes => self.mem_bytes,
-            ResourceKind::DiskBytes => self.disk_bytes,
-        }
-    }
-
-    /// Sets the named scalar, builder-style.
-    pub fn with(mut self, kind: ResourceKind, value: f64) -> Self {
-        match kind {
-            ResourceKind::Cycles => self.cycles = value,
-            ResourceKind::NetBytes => self.net_bytes = value,
-            ResourceKind::MemBytes => self.mem_bytes = value,
-            ResourceKind::DiskBytes => self.disk_bytes = value,
-        }
-        self
-    }
-
     /// Whether every component is zero.
     pub fn is_zero(&self) -> bool {
         self.cycles == 0.0
@@ -165,21 +131,6 @@ impl Mul<f64> for RVec {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn accessors_roundtrip() {
-        let r = RVec::new(1.0, 2.0, 3.0, 4.0);
-        assert_eq!(r.get(ResourceKind::Cycles), 1.0);
-        assert_eq!(r.get(ResourceKind::NetBytes), 2.0);
-        assert_eq!(r.get(ResourceKind::MemBytes), 3.0);
-        assert_eq!(r.get(ResourceKind::DiskBytes), 4.0);
-        let r2 = RVec::ZERO
-            .with(ResourceKind::Cycles, 1.0)
-            .with(ResourceKind::NetBytes, 2.0)
-            .with(ResourceKind::MemBytes, 3.0)
-            .with(ResourceKind::DiskBytes, 4.0);
-        assert_eq!(r, r2);
-    }
 
     #[test]
     fn validity() {

@@ -276,7 +276,7 @@ impl AppWorkload {
     /// `b ≤ e^-λ` for every λ the site's curve can produce, or `None`
     /// when some λ may fall outside `(0, 30]`.
     ///
-    /// Inside `(0, 30]`, [`ArrivalSampler::poisson_with_exp`] always
+    /// Inside `(0, 30]`, [`ArrivalSampler::poisson`] always
     /// draws a first uniform `u` and returns 0 when `u ≤ e^-λ`. So a
     /// draw `u ≤ b` settles the step at zero arrivals without evaluating
     /// the curve, and any other `u` continues the same draw with
@@ -320,10 +320,6 @@ const EXP_SLACK: f64 = 1e-12;
 pub struct SiteDraw {
     /// `None`: every step takes the plain draw.
     zero_bound: Option<f64>,
-    /// `(λ, e^-λ)` of the last evaluated step, so a step whose λ is
-    /// bit-equal to that one skips the `exp`. Stored pairs are always
-    /// `(λ, e^-λ)`, so a hit returns exactly what `(-λ).exp()` would.
-    memo: (f64, f64),
 }
 
 impl SiteDraw {
@@ -332,7 +328,6 @@ impl SiteDraw {
     pub fn new(workload: &AppWorkload, site_idx: usize, dt_secs: f64) -> Self {
         SiteDraw {
             zero_bound: workload.zero_arrival_bound(site_idx, dt_secs),
-            memo: (0.0, 1.0),
         }
     }
 
@@ -347,7 +342,7 @@ impl SiteDraw {
     /// `hour` gives the step's GMT hour of day and is called only when
     /// the curve must be evaluated.
     pub fn draw(
-        &mut self,
+        &self,
         sampler: &mut ArrivalSampler,
         workload: &AppWorkload,
         site_idx: usize,
@@ -365,12 +360,9 @@ impl SiteDraw {
             None => None,
         };
         let lambda = workload.step_expectation(site_idx, hour(), dt_secs);
-        if self.memo.0.to_bits() != lambda.to_bits() {
-            self.memo = (lambda, (-lambda).exp());
-        }
         match first {
-            Some(first) => sampler.continue_poisson(first, self.memo.1),
-            None => sampler.poisson_with_exp(lambda, self.memo.1),
+            Some(first) => sampler.continue_poisson(first, (-lambda).exp()),
+            None => sampler.poisson(lambda),
         }
     }
 }
@@ -395,14 +387,6 @@ impl ArrivalSampler {
     /// the simulator are far below that; the approximation only guards
     /// degenerate configurations).
     pub fn poisson(&mut self, lambda: f64) -> u32 {
-        self.poisson_with_exp(lambda, (-lambda).exp())
-    }
-
-    /// [`poisson`](Self::poisson) with `l = e^-lambda` supplied by the
-    /// caller, which may keep it while `lambda` stays the same: the draw
-    /// and the generator state after it equal `poisson(lambda)`'s when
-    /// `l` is `(-lambda).exp()`.
-    pub fn poisson_with_exp(&mut self, lambda: f64, l: f64) -> u32 {
         if lambda <= 0.0 {
             return 0;
         }
@@ -413,14 +397,14 @@ impl ArrivalSampler {
             return (lambda + lambda.sqrt() * z).round().max(0.0) as u32;
         }
         let first = self.uniform();
-        self.continue_poisson(first, l)
+        self.continue_poisson(first, (-lambda).exp())
     }
 
     /// Knuth's product loop for `l = e^-λ` with `0 < λ ≤ 30`, from its
     /// first uniform `first`, which the caller drew with
     /// [`uniform`](Self::uniform). Together with that draw it returns
-    /// what [`poisson_with_exp`](Self::poisson_with_exp) returns and
-    /// leaves the generator where it leaves it. Splitting the draw lets
+    /// what [`poisson`](Self::poisson) returns and leaves the generator
+    /// where it leaves it. Splitting the draw lets
     /// [`SiteDraw`] settle `first ≤ b ≤ l` as zero arrivals before it
     /// knows `l`.
     fn continue_poisson(&mut self, first: f64, l: f64) -> u32 {
@@ -601,21 +585,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn poisson_with_precomputed_exp_draws_the_same_stream() {
-        let mut a = ArrivalSampler::new(19);
-        let mut b = ArrivalSampler::new(19);
-        for i in 1..=30_000u32 {
-            let lambda = f64::from(i) * 1e-3;
-            assert_eq!(
-                a.poisson(lambda),
-                b.poisson_with_exp(lambda, (-lambda).exp()),
-                "lambda {lambda}"
-            );
-        }
-        assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
-    }
-
     /// One-site workload over `curve` whose λ at a `dt_secs` step is
     /// the population times `dt_secs`.
     fn one_site(curve: PopulationCurve) -> AppWorkload {
@@ -645,7 +614,7 @@ mod tests {
         ) {
             let peak = 10f64.powf(log_peak).min(29.9);
             let wl = one_site(DiurnalCurve::business_day(tz, peak * base_frac, peak).into());
-            let mut draw = SiteDraw::new(&wl, 0, 1.0);
+            let draw = SiteDraw::new(&wl, 0, 1.0);
             prop_assert!(draw.zero_bound().is_some());
             let (mut plain, mut split) = (ArrivalSampler::new(seed), ArrivalSampler::new(seed));
             let (mut settled, mut continued) = (0, 0);
@@ -730,7 +699,7 @@ mod tests {
         // uniform, so no first uniform may be drawn for it.
         let zero_base = one_site(DiurnalCurve::business_day(0.0, 0.0, 100.0).into());
         assert_eq!(zero_base.zero_arrival_bound(0, 0.01), None);
-        let mut draw = SiteDraw::new(&zero_base, 0, 0.01);
+        let draw = SiteDraw::new(&zero_base, 0, 0.01);
         let (mut a, mut b) = (ArrivalSampler::new(3), ArrivalSampler::new(3));
         assert_eq!(draw.draw(&mut a, &zero_base, 0, 0.01, || 3.0), 0);
         assert_eq!(

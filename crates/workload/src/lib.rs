@@ -41,9 +41,7 @@ pub use diurnal::{
     AppWorkload, ArrivalSampler, DiurnalCurve, HourlyTable, PopulationCurve, SiteDraw, SiteLoad,
 };
 pub use ownership::AccessPatternMatrix;
-pub use resilience::{
-    BreakerPolicy, BreakerStateKind, HedgePolicy, HedgeRole, ResiliencePolicies, ShedPolicy,
-};
+pub use resilience::{BreakerPolicy, HedgePolicy, ResiliencePolicies, ShedPolicy};
 pub use retry::RetryPolicy;
 pub use series::{SeriesKind, CANONICAL_DURATIONS};
 pub use shape::{OperationShape, RateCard, StepShape};

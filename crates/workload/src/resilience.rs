@@ -109,49 +109,6 @@ impl ShedPolicy {
     }
 }
 
-/// The lifecycle state of a per-route circuit breaker, as annotated on
-/// optrace spans: every sampled attempt records the state its route's
-/// breaker was in when the launch was admitted (or rejected).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BreakerStateKind {
-    /// No breaker installed, or the route is healthy.
-    Closed,
-    /// The route is rejecting launches outright.
-    Open,
-    /// The route is admitting a bounded number of probe operations.
-    HalfOpen,
-}
-
-impl BreakerStateKind {
-    /// Stable lowercase label used in `gdisim.optrace.v1` exports.
-    pub const fn label(self) -> &'static str {
-        match self {
-            BreakerStateKind::Closed => "closed",
-            BreakerStateKind::Open => "open",
-            BreakerStateKind::HalfOpen => "half-open",
-        }
-    }
-}
-
-/// Which copy of a hedged attempt a span belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HedgeRole {
-    /// The original launch.
-    Primary,
-    /// The duplicate issued after the hedge delay.
-    Twin,
-}
-
-impl HedgeRole {
-    /// Stable lowercase label used in `gdisim.optrace.v1` exports.
-    pub const fn label(self) -> &'static str {
-        match self {
-            HedgeRole::Primary => "primary",
-            HedgeRole::Twin => "twin",
-        }
-    }
-}
-
 /// The bundle of optional resilience policies a run can install.
 /// `None` everywhere (the default) is exactly "no policies".
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]

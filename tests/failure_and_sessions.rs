@@ -151,7 +151,9 @@ fn failure_without_backup_strands_cross_dc_work() {
     let mut infra = infra;
     let na = infra.dc_by_name("NA").unwrap();
     let eu = infra.dc_by_name("EU").unwrap();
-    infra.fail_wan_link("L NA->EU").expect("primary exists");
+    infra
+        .set_wan_link_down("L NA->EU", true)
+        .expect("primary exists");
     assert!(
         infra.route(na, eu).is_some(),
         "backup keeps the DCs connected"
@@ -160,7 +162,9 @@ fn failure_without_backup_strands_cross_dc_work() {
     // Without any backup, failing the only link partitions the graph.
     let topology = two_dc_topology(false);
     let mut infra = Infrastructure::build(&topology, 3).expect("topology");
-    infra.fail_wan_link("L NA->EU").expect("primary exists");
+    infra
+        .set_wan_link_down("L NA->EU", true)
+        .expect("primary exists");
     assert!(infra.route(na, eu).is_none(), "no path remains");
 }
 
