@@ -1,6 +1,9 @@
 //! End-to-end CLI robustness: crash reports, exit codes, and
 //! checkpoint → resume output equality through the real binary.
 
+use gdisim_core::scenarios::churned;
+use gdisim_core::Snapshot;
+use gdisim_types::SimTime;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -344,4 +347,75 @@ fn overflowing_horizon_is_a_usage_error() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+/// A CLI checkpoint is the library engine's own encoding: the churned
+/// scenario with the demo churn model and resilience policies the CLI
+/// installs by default, with the trace log the CLI switches on, run to
+/// the same time.
+#[test]
+fn cli_checkpoint_is_the_library_engine() {
+    let scratch = Scratch::new("library-ckpt");
+    let out = gdisim(&[
+        "run",
+        "--scenario",
+        "churned",
+        "--minutes",
+        "2",
+        "--checkpoint-every",
+        "120",
+        "--checkpoint-dir",
+        scratch.path(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let cli = std::fs::read(PathBuf::from(scratch.path()).join("churned-t0000000120.ckpt"))
+        .expect("the horizon checkpoint is written");
+
+    let mut sim = churned::build(42);
+    sim.set_churn_model(churned::demo_churn_model())
+        .expect("demo churn model installs");
+    sim.set_resilience(churned::demo_resilience())
+        .expect("demo resilience installs");
+    sim.enable_trace(100_000);
+    sim.run_until(SimTime::from_secs(120));
+    assert!(
+        cli == Snapshot::serial("churned", 42, sim).to_bytes(),
+        "the CLI checkpoint differs from the library engine's encoding"
+    );
+}
+
+/// `--trace-jsonl` adds only `trace:` lines to stdout: the rest of the
+/// run's output, wall-clock line and blank lines aside, is the same
+/// with the trace log as without it.
+#[test]
+fn trace_lines_are_the_only_stdout_the_log_adds() {
+    let scratch = Scratch::new("trace-stdout");
+    let ev = format!("{}/ev.jsonl", scratch.path());
+    let plain = ["run", "--scenario", "churned", "--minutes", "5"];
+    let traced = [&plain[..], &["--trace-jsonl", &ev]].concat();
+    let without_trace = |args: &[&str]| {
+        let out = gdisim(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| {
+                !l.is_empty()
+                    && !l.starts_with("trace:")
+                    && !l.starts_with("  dropped ")
+                    && !l.starts_with("simulated ")
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let want = without_trace(&traced);
+    assert!(want.contains("churn layer:"), "{want}");
+    assert_eq!(want, without_trace(&plain));
 }
