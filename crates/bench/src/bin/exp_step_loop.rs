@@ -28,29 +28,26 @@
 //! is a pure cost comparison. *Before* is the seed's dense loop — every
 //! source polled, every agent ticked, every step (`always_poll` +
 //! `always_tick`); *after* is the event-indexed default (due-time gated
-//! drains over the active set). Alongside the table and CSV, a
-//! machine-readable `results/BENCH_step_loop.json` records wall-ms per
-//! simulated second for both loops per scenario × executor.
+//! drains over the active set). Those rows, wall-ms per simulated
+//! second for both loops per scenario × executor with each scenario's
+//! drain-gating counts, land in `results/BENCH_step_loop.csv`.
 //!
 //! A second table covers the **sharded engine** (one shard per DC with
 //! conservative WAN lookahead, DESIGN.md §4.6): serial gated mode vs
 //! `ShardedSimulation` at several shard × worker combinations, with the
-//! cross-shard mailbox volume alongside. Those rows land in the
-//! `"sharded"` key of `results/BENCH_step_loop.json` and in
+//! cross-shard mailbox volume alongside. Those rows land in
 //! `results/BENCH_step_loop_sharded.csv`.
 //!
 //! A third table prices the **robustness features** (DESIGN.md §4.7):
 //! periodic atomic checkpoint writes and the `--paranoid` invariant
-//! auditor, each against the plain serial run. Those rows land in the
-//! `"robustness"` key of `results/BENCH_step_loop.json` and in
+//! auditor, each against the plain serial run. Those rows land in
 //! `results/BENCH_step_loop_robustness.csv`.
 //!
 //! A fourth table prices **causal operation tracing** (DESIGN.md §4.8):
 //! `--trace-ops` at the production sampling rate (1%) and at full rate
 //! against the untraced serial run. Sampling is decided once per
 //! operation at launch, so the 1% case measures what always-on tracing
-//! costs a deployment; those rows land in the `"optrace"` key of
-//! `results/BENCH_step_loop.json` and in
+//! costs a deployment; those rows land in
 //! `results/BENCH_step_loop_optrace.csv`.
 //!
 //! `--check` runs the CI smoke assertions instead of the timed
@@ -75,7 +72,7 @@
 //! that runs first swapped every pair, so a slow phase of the host lands
 //! on both sides alike; each prints both sides' minimum and quartiles.
 
-use gdisim_bench::{json_escape, print_table, sample, write_csv, write_json, Summary};
+use gdisim_bench::{print_table, sample, write_csv, Summary};
 use gdisim_core::scenarios::{churned, consolidated, faulted, rates, validation};
 use gdisim_core::{
     ChurnProcess, EventClass, FaultAction, FaultEvent, FaultPlan, FaultTarget, InFlightPolicy,
@@ -607,7 +604,6 @@ fn main() {
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut gating_rows: Vec<Vec<String>> = Vec::new();
-    let mut json_entries: Vec<String> = Vec::new();
     for case in &CASES {
         let gate = gating_stats(case.build, case.horizon_secs, false);
         gating_rows.push(vec![
@@ -645,28 +641,6 @@ fn main() {
                 format!("{after_rate:.3}"),
                 format!("{speedup:.2}x"),
             ]);
-            json_entries.push(format!(
-                concat!(
-                    "    {{\"scenario\": \"{}\", \"executor\": \"{}\", ",
-                    "\"sim_seconds\": {}, \"before_ms_per_sim_s\": {:.4}, ",
-                    "\"after_ms_per_sim_s\": {:.4}, \"speedup\": {:.3}, ",
-                    "\"skipped_drains\": {}, \"gated_drains\": {}, ",
-                    "\"polled_drains\": {}, \"noop_drains\": {}, ",
-                    "\"cancelled_gates\": {}, \"active_set_mean\": {:.3}}}"
-                ),
-                json_escape(case.scenario),
-                json_escape(name),
-                case.horizon_secs,
-                before_rate,
-                after_rate,
-                speedup,
-                gate.skipped,
-                gate.gated,
-                gate.polled,
-                gate.noop,
-                gate.cancelled,
-                gate.active_mean,
-            ));
         }
     }
 
@@ -675,7 +649,6 @@ fn main() {
     // above) so both sides of each ratio come from the same machine
     // state.
     let mut sharded_rows: Vec<Vec<String>> = Vec::new();
-    let mut sharded_json: Vec<String> = Vec::new();
     for &(scenario, build, horizon_secs, shards, workers) in &SHARDED_CASES {
         let serial = measure(build, horizon_secs, REPS, as_built).min;
         let run = measure_sharded(build, horizon_secs, shards, workers);
@@ -691,25 +664,6 @@ fn main() {
             run.mail_sent.to_string(),
             run.ordering_violations.to_string(),
         ]);
-        sharded_json.push(format!(
-            concat!(
-                "    {{\"scenario\": \"{}\", \"shards\": {}, \"workers\": {}, ",
-                "\"window_ticks\": {}, \"sim_seconds\": {}, ",
-                "\"serial_ms_per_sim_s\": {:.4}, \"sharded_ms_per_sim_s\": {:.4}, ",
-                "\"speedup\": {:.3}, \"mailbox_sent\": {}, ",
-                "\"ordering_violations\": {}}}"
-            ),
-            json_escape(scenario),
-            shards,
-            workers,
-            run.window_ticks,
-            horizon_secs,
-            serial / sim_s,
-            run.wall_ms / sim_s,
-            speedup,
-            run.mail_sent,
-            run.ordering_violations,
-        ));
     }
 
     // Robustness features: paranoid auditing and periodic checkpoint
@@ -718,7 +672,6 @@ fn main() {
     // just before the horizon, the shape a long campaign with
     // `--checkpoint-every` actually has.
     let mut robust_rows: Vec<Vec<String>> = Vec::new();
-    let mut robust_json: Vec<String> = Vec::new();
     for case in &CASES {
         let base = measure(case.build, case.horizon_secs, REPS, as_built).min;
         let every = (case.horizon_secs / 4).max(1);
@@ -736,29 +689,12 @@ fn main() {
             format!("{:.3}", paranoid / sim_s),
             format!("{paranoid_pct:+.1}%"),
         ]);
-        robust_json.push(format!(
-            concat!(
-                "    {{\"scenario\": \"{}\", \"sim_seconds\": {}, ",
-                "\"base_ms_per_sim_s\": {:.4}, \"checkpoint_every_secs\": {}, ",
-                "\"checkpoint_ms_per_sim_s\": {:.4}, \"checkpoint_overhead_pct\": {:.2}, ",
-                "\"paranoid_ms_per_sim_s\": {:.4}, \"paranoid_overhead_pct\": {:.2}}}"
-            ),
-            json_escape(case.scenario),
-            case.horizon_secs,
-            base / sim_s,
-            every,
-            ckpt / sim_s,
-            ckpt_pct,
-            paranoid / sim_s,
-            paranoid_pct,
-        ));
     }
 
     // Operation tracing: untraced vs 1% sampling vs full rate, each on
     // the plain serial run. The sampled count comes from a dedicated
     // profiling run (deterministic, so any rep would report the same).
     let mut optrace_rows: Vec<Vec<String>> = Vec::new();
-    let mut optrace_json: Vec<String> = Vec::new();
     for case in &CASES {
         let base = measure(case.build, case.horizon_secs, REPS, as_built).min;
         let sampled = measure(case.build, case.horizon_secs, REPS, traced(0.01)).min;
@@ -779,22 +715,6 @@ fn main() {
             format!("{full_pct:+.1}%"),
             total_ops.to_string(),
         ]);
-        optrace_json.push(format!(
-            concat!(
-                "    {{\"scenario\": \"{}\", \"sim_seconds\": {}, ",
-                "\"base_ms_per_sim_s\": {:.4}, \"sampled_ms_per_sim_s\": {:.4}, ",
-                "\"sampled_overhead_pct\": {:.2}, \"full_ms_per_sim_s\": {:.4}, ",
-                "\"full_overhead_pct\": {:.2}, \"operations\": {}}}"
-            ),
-            json_escape(case.scenario),
-            case.horizon_secs,
-            base / sim_s,
-            sampled / sim_s,
-            sampled_pct,
-            full / sim_s,
-            full_pct,
-            total_ops,
-        ));
     }
 
     print_table(
@@ -951,15 +871,5 @@ fn main() {
                 r
             })
             .collect::<Vec<_>>(),
-    );
-    write_json(
-        "BENCH_step_loop.json",
-        &format!(
-            "{{\n  \"benchmark\": \"step_loop\",\n  \"unit\": \"wall_ms_per_sim_s\",\n  \"results\": [\n{}\n  ],\n  \"sharded\": [\n{}\n  ],\n  \"robustness\": [\n{}\n  ],\n  \"optrace\": [\n{}\n  ]\n}}\n",
-            json_entries.join(",\n"),
-            sharded_json.join(",\n"),
-            robust_json.join(",\n"),
-            optrace_json.join(",\n")
-        ),
     );
 }

@@ -167,32 +167,6 @@ pub fn write_csv<H: Display, C: Display>(name: &str, headers: &[H], rows: &[Vec<
     println!("  -> wrote {}", path.display());
 }
 
-/// Writes a machine-readable JSON artifact under `results/` and returns
-/// its path. The content is pre-rendered text: the experiment binaries
-/// hand-format their JSON so the artifact shape is explicit in the
-/// binary that owns it.
-pub fn write_json(name: &str, content: &str) -> PathBuf {
-    let path = results_dir().join(name);
-    fs::write(&path, content).expect("write json");
-    println!("  -> wrote {}", path.display());
-    path
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
@@ -269,12 +243,5 @@ mod tests {
         let (mut setups, mut routines) = (0, 0);
         sample(7, || setups += 1, |_| routines += 1);
         assert_eq!((setups, routines), (7, 7));
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

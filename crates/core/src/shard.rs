@@ -185,12 +185,13 @@ impl ShardCtx {
 }
 
 /// Invalid sharded-run parameters, reported instead of panicking so
-/// the CLI can surface them as typed errors.
+/// callers can surface them as typed errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardConfigError {
-    /// `--shards 0` — at least one shard is required.
+    /// Zero shards requested — at least one shard is required.
     ZeroShards,
-    /// `--lookahead-ticks 0` — the window must span at least one tick.
+    /// A zero-tick lookahead override — the window must span at least
+    /// one tick.
     ZeroLookahead,
     /// Zero worker threads requested.
     ZeroWorkers,
@@ -211,7 +212,7 @@ impl std::fmt::Display for ShardConfigError {
 impl std::error::Error for ShardConfigError {}
 
 /// Per-shard window accounting, surfaced through
-/// [`ShardedSimulation::metrics_snapshot`] and `--profile-json`.
+/// [`ShardedSimulation::metrics_snapshot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Windows stepped.
@@ -689,60 +690,6 @@ impl ShardedSimulation {
             );
         }
         r
-    }
-
-    /// The sharded `--profile-json` export: per-shard step profiles
-    /// (phase spans included) under the shard's window / barrier
-    /// counters, plus the merged registry.
-    pub fn profile_value(&self) -> serde::Value {
-        use serde::Value;
-        let stats = self.stats();
-        let shards: Vec<Value> = self
-            .shards
-            .iter()
-            .zip(&stats)
-            .enumerate()
-            .map(|(i, (slot, st))| {
-                let mut m = vec![
-                    ("shard".to_string(), Value::U64(i as u64)),
-                    ("windows".to_string(), Value::U64(st.windows)),
-                    (
-                        "window_wall_us".to_string(),
-                        Value::U64(st.window_wall_ns / 1000),
-                    ),
-                    (
-                        "barrier_wait_us".to_string(),
-                        Value::U64(st.barrier_wait_ns / 1000),
-                    ),
-                    ("mail_sent".to_string(), Value::U64(st.mail_sent)),
-                    ("mail_received".to_string(), Value::U64(st.mail_received)),
-                    (
-                        "ordering_violations".to_string(),
-                        Value::U64(st.ordering_violations),
-                    ),
-                ];
-                if let Some(p) = slot.sim.step_profile() {
-                    m.push((
-                        "profile".to_string(),
-                        gdisim_obs::export::profile_to_value(&p, None),
-                    ));
-                }
-                Value::Object(m)
-            })
-            .collect();
-        Value::Object(vec![
-            (
-                "schema".to_string(),
-                Value::Str("gdisim.profile.sharded.v1".to_string()),
-            ),
-            (
-                "shard_count".to_string(),
-                Value::U64(self.shards.len() as u64),
-            ),
-            ("window_ticks".to_string(), Value::U64(self.window_ticks)),
-            ("shards".to_string(), Value::Array(shards)),
-            ("registry".to_string(), self.metrics_snapshot().to_value()),
-        ])
     }
 }
 

@@ -143,23 +143,6 @@ impl Snapshot {
         write_atomic_bytes(path, &encode(&meta, 0, |w| sim.save(w)))
     }
 
-    /// Atomically writes a checkpoint of a *borrowed* sharded engine at
-    /// a window barrier.
-    pub fn write_sharded(
-        path: &Path,
-        scenario: &str,
-        seed: u64,
-        sim: &ShardedSimulation,
-    ) -> Result<(), SnapshotError> {
-        let meta = SnapshotMeta {
-            scenario: scenario.to_string(),
-            seed,
-            shards: sim.shards() as u32,
-            now: sim.now(),
-        };
-        write_atomic_bytes(path, &encode(&meta, 1, |w| sim.save(w)))
-    }
-
     /// Decodes a checkpoint, rejecting foreign magic, unknown versions
     /// and trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {

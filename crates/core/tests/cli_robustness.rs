@@ -1,8 +1,8 @@
 //! End-to-end CLI robustness: crash reports, exit codes, and
 //! checkpoint → resume output equality through the real binary.
 
-use gdisim_core::scenarios::churned;
-use gdisim_core::Snapshot;
+use gdisim_core::scenarios::{churned, faulted};
+use gdisim_core::{ShardedSimulation, Snapshot};
 use gdisim_types::SimTime;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -48,45 +48,9 @@ fn comparable(stdout: &[u8]) -> String {
                 && !l.starts_with("checkpoint: ")
                 && !l.starts_with("simulated ")
                 && !l.starts_with("trace: wrote ")
-                && !l.contains("ms, waited")
-                && !l.contains("ms at barriers")
         })
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-#[test]
-fn sharded_crash_emits_report_and_fails() {
-    let out = gdisim(&[
-        "run",
-        "--scenario",
-        "churned",
-        "--minutes",
-        "5",
-        "--shards",
-        "2",
-        "--inject-panic",
-        "1:120",
-    ]);
-    assert!(!out.status.success(), "a crashed run must exit non-zero");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stdout.contains("\"schema\": \"gdisim.crash.v1\""),
-        "stdout must carry the typed crash report, got:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("\"shard\": 1"),
-        "report must name the shard:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("injected panic"),
-        "report must carry the panic message:\n{stdout}"
-    );
-    assert!(
-        stderr.contains("simulation crashed"),
-        "stderr must explain the failure:\n{stderr}"
-    );
 }
 
 #[test]
@@ -103,7 +67,7 @@ fn serial_crash_links_the_last_checkpoint() {
         "--checkpoint-dir",
         scratch.path(),
         "--inject-panic",
-        "0:150",
+        "150",
     ]);
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -270,13 +234,11 @@ fn corrupt_checkpoint_is_a_typed_error() {
     );
 }
 
-/// A sharded run's trace summary and profile registry count every
-/// shard's trace log: both totals equal the event lines across
-/// `ev.jsonl` and `ev.jsonl.shard1` (each file ends in one
-/// `dropped_by_kind` trailer line).
+/// The trace summary and the profile registry count the events the
+/// JSONL file holds (it ends in one `dropped_by_kind` trailer line).
 #[test]
-fn sharded_trace_totals_cover_every_shard() {
-    let dir = Scratch::new("sharded-trace-totals");
+fn trace_totals_match_the_jsonl_lines() {
+    let dir = Scratch::new("trace-totals");
     let ev = format!("{}/ev.jsonl", dir.path());
     let profile = format!("{}/p.json", dir.path());
     let out = gdisim(&[
@@ -287,25 +249,23 @@ fn sharded_trace_totals_cover_every_shard() {
         "demo",
         "--minutes",
         "10",
-        "--shards",
-        "2",
         "--trace-jsonl",
         &ev,
         "--profile-json",
         &profile,
     ]);
-    assert!(out.status.success(), "sharded run failed");
-    let event_lines = |path: &str| {
-        let text = std::fs::read_to_string(path).expect("trace file written");
-        text.lines().count() as u64 - 1
-    };
-    let (shard0, shard1) = (event_lines(&ev), event_lines(&format!("{ev}.shard1")));
-    assert!(shard0 > 0 && shard1 > 0, "a shard traced nothing");
-    let events = shard0 + shard1;
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&ev).expect("trace file written");
+    let events = text.lines().count() as u64 - 1;
+    assert!(events > 0, "the run traced nothing");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         stdout.contains(&format!("trace: {events} events recorded")),
-        "summary must count {events} events across shards:\n{stdout}"
+        "summary must count {events} events:\n{stdout}"
     );
     let json = std::fs::read_to_string(&profile).expect("profile written");
     let v = serde_json::parse_value(&json).expect("profile JSON parses");
@@ -328,8 +288,8 @@ fn overflowing_horizon_is_a_usage_error() {
             "run",
             "--scenario",
             "consolidated",
-            "--hours",
-            "5124095576030432",
+            "--minutes",
+            "307445734562",
         ],
         [
             "run",
@@ -351,8 +311,8 @@ fn overflowing_horizon_is_a_usage_error() {
 
 /// A CLI checkpoint is the library engine's own encoding: the churned
 /// scenario with the demo churn model and resilience policies the CLI
-/// installs by default, with the trace log the CLI switches on, run to
-/// the same time.
+/// installs by default, run to the same time. A run without
+/// `--trace-jsonl` keeps no trace log.
 #[test]
 fn cli_checkpoint_is_the_library_engine() {
     let scratch = Scratch::new("library-ckpt");
@@ -380,7 +340,6 @@ fn cli_checkpoint_is_the_library_engine() {
         .expect("demo churn model installs");
     sim.set_resilience(churned::demo_resilience())
         .expect("demo resilience installs");
-    sim.enable_trace(100_000);
     sim.run_until(SimTime::from_secs(120));
     assert!(
         cli == Snapshot::serial("churned", 42, sim).to_bytes(),
@@ -418,4 +377,103 @@ fn trace_lines_are_the_only_stdout_the_log_adds() {
     let want = without_trace(&traced);
     assert!(want.contains("churn layer:"), "{want}");
     assert_eq!(want, without_trace(&plain));
+    let out = gdisim(&plain);
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("trace:"),
+        "a run without --trace-jsonl keeps no trace log"
+    );
+}
+
+/// The flags that set what a checkpoint carries (seed, experiment,
+/// response histograms and the installed layers) are refused on
+/// `--resume` with a usage error, never silently ignored.
+#[test]
+fn resume_rejects_flags_the_checkpoint_fixes() {
+    let scratch = Scratch::new("resume-fixed");
+    let full = gdisim(&[
+        "run",
+        "--scenario",
+        "churned",
+        "--minutes",
+        "1",
+        "--checkpoint-every",
+        "60",
+        "--checkpoint-dir",
+        scratch.path(),
+    ]);
+    assert!(
+        full.status.success(),
+        "{}",
+        String::from_utf8_lossy(&full.stderr)
+    );
+    let ckpt = format!("{}/churned-t0000000060.ckpt", scratch.path());
+    for extra in [
+        &["--seed", "7"][..],
+        &["--experiment", "3"],
+        &["--response-hist"],
+        &["--faults", "demo"],
+        &["--churn", "demo"],
+        &["--resilience", "demo"],
+    ] {
+        let args = [&["run", "--resume", &ckpt, "--minutes", "2"][..], extra].concat();
+        let out = gdisim(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{} is part of the checkpointed state", extra[0])),
+            "{args:?}: {stderr}"
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with("gdisim — ") && !stdout.contains("resume: "),
+            "{args:?} must print usage and not run:\n{stdout}"
+        );
+    }
+}
+
+/// A checkpoint of the library's sharded engine is a usage error on
+/// `--resume`: the CLI resumes serial checkpoints only, and says so
+/// instead of panicking.
+#[test]
+fn resume_refuses_a_sharded_checkpoint() {
+    let scratch = Scratch::new("resume-sharded");
+    let mut sharded = ShardedSimulation::new(faulted::build(42), 2, None, None)
+        .expect("two shards fit the faulted topology");
+    sharded.run_until(SimTime::from_secs(30));
+    let path = PathBuf::from(scratch.path()).join("faulted-sharded.ckpt");
+    std::fs::write(&path, Snapshot::sharded("faulted", 42, sharded).to_bytes())
+        .expect("checkpoint written");
+    let out = gdisim(&["run", "--resume", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("holds a sharded engine") && !stderr.contains("panicked"),
+        "{stderr}"
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE:"));
+}
+
+/// `run --scenario validation` prints the steady-state mean ± sigma
+/// table of the Ch. 5 experiment it ran.
+#[test]
+fn validation_run_prints_the_steady_state_table() {
+    let out = gdisim(&["run", "--scenario", "validation", "--experiment", "2"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let table: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| *l != "steady-state CPU (mean ± sigma):")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .collect();
+    assert_eq!(table.len(), 5, "{stdout}");
+    for (row, tier) in table.iter().zip(["Tapp", "Tdb", "Tfs", "Tidx"]) {
+        assert!(row.starts_with(&format!("  {tier}: ")), "{row}");
+        assert!(row.contains("% ± "), "{row}");
+    }
+    assert!(table[4].starts_with("  concurrent clients: "), "{stdout}");
 }

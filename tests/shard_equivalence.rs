@@ -4,7 +4,7 @@
 //! lookahead, deterministic window mailboxes — see DESIGN.md §4.6)
 //! makes two promises these tests pin:
 //!
-//! * **one shard is the serial engine** — a `--shards 1` run executes
+//! * **one shard is the serial engine** — a one-shard run executes
 //!   the full window machinery (barriers, empty mailboxes) and is
 //!   bit-identical to plain [`Simulation::run_until`] across the
 //!   validation, consolidated, faulted and churned scenarios, down to
