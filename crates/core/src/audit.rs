@@ -13,6 +13,9 @@
 //! * **Active-set completeness** — every agent with queued or in-service
 //!   work is an active-set member (skipped under the always-tick loop,
 //!   which has no active set).
+//! * **Active-set tightness** — the converse: every active-set member
+//!   holds work, so retiring only the agents that completed or lost work
+//!   left no empty member behind (skipped under the always-tick loop).
 //! * **Due-time freshness** — a derived next-due time (the cached next
 //!   periodic-series launch) is at or before the earliest pending event
 //!   a fresh scan of its sources finds, so its drain never runs late.
@@ -57,6 +60,14 @@ pub enum InvariantViolation {
     /// An agent holds queued or in-service work but is not a member of
     /// the active set, so the step loop would never tick it again.
     InactiveAgentWithWork {
+        /// Simulation time of the audit.
+        at: SimTime,
+        /// Agent index.
+        agent: u32,
+    },
+    /// An active-set member holds no work: the step that emptied it did
+    /// not retire it, so the step loop keeps ticking an idle agent.
+    IdleActiveMember {
         /// Simulation time of the audit.
         at: SimTime,
         /// Agent index.
@@ -121,6 +132,11 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "t={}s: agent {agent} has work in system but is not in the \
                  active set",
+                at.as_secs_f64()
+            ),
+            InvariantViolation::IdleActiveMember { at, agent } => write!(
+                f,
+                "t={}s: agent {agent} is in the active set but holds no work",
                 at.as_secs_f64()
             ),
             InvariantViolation::LateNextDue {
@@ -247,6 +263,7 @@ gdisim_snap::snap_enum!(InvariantViolation {
     3 => LateNextDue { at, class, head_tick },
     4 => MailboxSeqGap { at, shard, gaps },
     5 => StaleZeroBound { at, site },
+    6 => IdleActiveMember { at, agent },
 });
 gdisim_snap::snap_struct!(AuditState {
     checks,

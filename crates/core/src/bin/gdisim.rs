@@ -46,6 +46,29 @@ use gdisim_types::{SimDuration, SimTime, TierKind};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Writes one line to stdout: every line the CLI prints goes through
+/// here. A reader that went away (`gdisim run … | head -2`) ends the
+/// process quietly and successfully, since the rest of the output has
+/// nowhere to go; any other write error ends it with a message on
+/// stderr.
+fn write_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`write_line`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_line(format_args!($($arg)*))
+    };
+}
+
 /// Seed of a run that names none.
 const DEFAULT_SEED: u64 = 42;
 
@@ -245,7 +268,7 @@ fn parse_args() -> Result<Args, CliError> {
 }
 
 fn print_usage() {
-    println!(
+    outln!(
         "gdisim — global data infrastructure simulator\n\n\
          USAGE:\n  \
          gdisim run --scenario <validation|faulted|churned|consolidated|multimaster>\n              \
@@ -260,7 +283,8 @@ fn print_usage() {
          gdisim topology <spec.json>\n  \
          gdisim export <validation|faulted|churned|consolidated|multimaster>\n\n\
          RUN:\n  \
-         --experiment 1|2|3     the validation lab's period set (default 1)\n  \
+         --experiment 1|2|3     the validation lab's period set (default 1;\n                         \
+         validation only)\n  \
          --minutes M            simulated horizon (default: the scenario's own span;\n                         \
          24 h for consolidated and multimaster)\n  \
          --seed N               master seed (default 42)\n\n\
@@ -278,7 +302,7 @@ fn print_usage() {
          fault/churn/resilience state all come from the\n                          \
          checkpoint, so their flags are refused\n  \
          --paranoid             audit conservation invariants (token linkage,\n                          \
-         memory-hold balance, active-set completeness, due\n                          \
+         memory-hold balance, active-set membership, due\n                          \
          times, mailbox ordering) at every measurement\n                          \
          collection; violations exit non-zero\n\n\
          OBSERVABILITY:\n  \
@@ -301,13 +325,13 @@ fn print_usage() {
 }
 
 fn dashboard(report: &Report, sites: &[&str]) {
-    println!("\ntier CPU (whole-run mean / max):");
+    outln!("\ntier CPU (whole-run mean / max):");
     for site in sites {
         for tier in TierKind::ALL {
             if let Some(s) = report.cpu(site, tier) {
                 let mean = gdisim_metrics::mean(s.values());
                 let max = s.values().iter().cloned().fold(0.0, f64::max);
-                println!(
+                outln!(
                     "  {tier}@{site}: {:5.1}% / {:5.1}%",
                     mean * 100.0,
                     max * 100.0
@@ -316,11 +340,11 @@ fn dashboard(report: &Report, sites: &[&str]) {
         }
     }
     if !report.wan_util.is_empty() {
-        println!("\nWAN links (mean / max):");
+        outln!("\nWAN links (mean / max):");
         for (label, s) in &report.wan_util {
             let mean = gdisim_metrics::mean(s.values());
             let max = s.values().iter().cloned().fold(0.0, f64::max);
-            println!("  {label}: {:5.1}% / {:5.1}%", mean * 100.0, max * 100.0);
+            outln!("  {label}: {:5.1}% / {:5.1}%", mean * 100.0, max * 100.0);
         }
     }
     for (kind, name) in [
@@ -328,7 +352,7 @@ fn dashboard(report: &Report, sites: &[&str]) {
         (BackgroundKind::IndexBuild, "INDEXBUILD"),
     ] {
         if let Some((at, secs)) = report.max_background_response(kind) {
-            println!(
+            outln!(
                 "{name}: {} runs, worst response {:.1} min (launched {at})",
                 report.background_of(kind).len(),
                 secs / 60.0
@@ -336,7 +360,7 @@ fn dashboard(report: &Report, sites: &[&str]) {
         }
     }
     if let Some((t, peak)) = report.concurrent_clients.max() {
-        println!("peak concurrent client operations: {peak:.0} at {t}");
+        outln!("peak concurrent client operations: {peak:.0} at {t}");
     }
 }
 
@@ -346,16 +370,16 @@ fn steady_state_table(report: &Report) -> Result<(), CliError> {
     let window = |s: &gdisim_metrics::TimeSeries| {
         mean_stddev(&s.window(validation::STEADY_START, validation::STEADY_END))
     };
-    println!("\nsteady-state CPU (mean ± sigma):");
+    outln!("\nsteady-state CPU (mean ± sigma):");
     for tier in TierKind::ALL {
         let s = report.cpu("NA", tier).ok_or_else(|| {
             CliError::Internal(format!("validation report lacks the {tier} CPU series"))
         })?;
         let (mu, sd) = window(s);
-        println!("  {tier}: {:5.1}% ± {:4.1}%", mu * 100.0, sd * 100.0);
+        outln!("  {tier}: {:5.1}% ± {:4.1}%", mu * 100.0, sd * 100.0);
     }
     let (clients, _) = window(&report.concurrent_clients);
-    println!("  concurrent clients: {clients:.1}");
+    outln!("  concurrent clients: {clients:.1}");
     Ok(())
 }
 
@@ -365,14 +389,17 @@ fn steady_state_table(report: &Report) -> Result<(), CliError> {
 /// breakdown.
 fn degradation_summary(report: &Report, trace: Option<&TraceLog>) {
     let f = report.faults;
-    println!("\nfault layer:");
-    println!(
+    outln!("\nfault layer:");
+    outln!(
         "  operations: {} failed, {} retried, {} abandoned",
-        f.failed_operations, f.retried_operations, f.abandoned_operations
+        f.failed_operations,
+        f.retried_operations,
+        f.abandoned_operations
     );
-    println!(
+    outln!(
         "  messages dropped: {}, fault events skipped: {}",
-        f.dropped_messages, f.skipped_events
+        f.dropped_messages,
+        f.skipped_events
     );
     if !report.availability.is_empty() {
         let mean = gdisim_metrics::mean(report.availability.values());
@@ -382,15 +409,15 @@ fn degradation_summary(report: &Report, trace: Option<&TraceLog>) {
             .iter()
             .cloned()
             .fold(1.0, f64::min);
-        println!("  availability: mean {mean:.4}, worst interval {min:.4}");
+        outln!("  availability: mean {mean:.4}, worst interval {min:.4}");
     }
     if !report.degraded_windows.is_empty() || report.degraded_since.is_some() {
-        println!("  degraded windows:");
+        outln!("  degraded windows:");
         for &(from, until) in &report.degraded_windows {
-            println!("    {from} .. {until}");
+            outln!("    {from} .. {until}");
         }
         if let Some(from) = report.degraded_since {
-            println!("    {from} .. (run end)");
+            outln!("    {from} .. (run end)");
         }
         // Healthy vs. degraded response times, pooled over every
         // operation key — the outage shows up as a higher degraded mean.
@@ -404,7 +431,7 @@ fn degradation_summary(report: &Report, trace: Option<&TraceLog>) {
                 }
             }
         }
-        println!(
+        outln!(
             "  response time: healthy {:.3} s over {} ops, degraded {:.3} s over {} ops",
             gdisim_metrics::mean(&healthy),
             healthy.len(),
@@ -415,13 +442,13 @@ fn degradation_summary(report: &Report, trace: Option<&TraceLog>) {
     if let Some(trace) = trace {
         let dropped = trace.dropped_by_kind().by_kind();
         let total: u64 = dropped.iter().map(|(_, n)| n).sum();
-        println!(
+        outln!(
             "\ntrace: {} events recorded, {total} dropped past capacity",
             trace.events().len()
         );
         for (label, n) in dropped {
             if n > 0 {
-                println!("  dropped {label}: {n}");
+                outln!("  dropped {label}: {n}");
             }
         }
     }
@@ -434,10 +461,12 @@ fn degradation_summary(report: &Report, trace: Option<&TraceLog>) {
 fn churn_summary(report: &Report) {
     let c = &report.churn;
     if c.incidents + c.repairs + c.refused_incidents > 0 || !c.components.is_empty() {
-        println!("\nchurn layer:");
-        println!(
+        outln!("\nchurn layer:");
+        outln!(
             "  incidents: {} applied, {} repaired, {} refused",
-            c.incidents, c.repairs, c.refused_incidents
+            c.incidents,
+            c.repairs,
+            c.refused_incidents
         );
         let mut worst: Vec<_> = c.components.iter().filter(|r| r.failures > 0).collect();
         worst.sort_by(|a, b| {
@@ -445,14 +474,14 @@ fn churn_summary(report: &Report) {
                 .cmp(&a.failures)
                 .then_with(|| a.label.cmp(&b.label))
         });
-        println!(
+        outln!(
             "  components churned: {} of {} (measured MTTF/MTTR, worst first):",
             worst.len(),
             c.components.len()
         );
         let secs = |v: Option<f64>| v.map_or_else(|| "n/a".into(), |s| format!("{s:.0} s"));
         for r in worst.iter().take(8) {
-            println!(
+            outln!(
                 "    {}: {} failures, MTTF {}, MTTR {}",
                 r.label,
                 r.failures,
@@ -461,27 +490,31 @@ fn churn_summary(report: &Report) {
             );
         }
         if worst.len() > 8 {
-            println!("    ... and {} more", worst.len() - 8);
+            outln!("    ... and {} more", worst.len() - 8);
         }
     }
     let r = &report.resilience;
     if *r != ResilienceStats::default() {
-        println!("\nresilience layer:");
-        println!(
+        outln!("\nresilience layer:");
+        outln!(
             "  hedges: {} launched, {} twin wins, {} losers cancelled ({} messages dropped)",
-            r.hedges_launched, r.hedge_wins, r.hedges_cancelled, r.hedge_cancelled_messages
+            r.hedges_launched,
+            r.hedge_wins,
+            r.hedges_cancelled,
+            r.hedge_cancelled_messages
         );
-        println!(
+        outln!(
             "  breakers: {} trips, {} fast rejections",
-            r.breaker_trips, r.breaker_rejections
+            r.breaker_trips,
+            r.breaker_rejections
         );
-        println!("  load shedding: {} operations bounced", r.shed_operations);
+        outln!("  load shedding: {} operations bounced", r.shed_operations);
     }
     if let (Some(slo), Some(burn)) = (report.slo_target, report.total_error_budget_burn()) {
-        println!("\nSLO: target {slo}, mean error-budget burn {burn:.2}x");
+        outln!("\nSLO: target {slo}, mean error-budget burn {burn:.2}x");
     }
     if !report.health_errors.is_empty() {
-        println!(
+        outln!(
             "\nhealth events failed to apply: {} (first: {})",
             report.health_errors.len(),
             report.health_errors[0].reason
@@ -532,6 +565,12 @@ fn fresh_run(args: &Args) -> Result<Run, CliError> {
         .or_else(|| args.positional.get(1).cloned())
         .ok_or_else(|| CliError::Usage("run needs --scenario <name>".into()))?;
     let (sites, horizon) = scenario_context(&scenario, args)?;
+    if args.experiment.is_some() && scenario != "validation" {
+        return Err(CliError::Usage(format!(
+            "--experiment picks the validation lab's period set; it cannot be used with \
+             --scenario {scenario}"
+        )));
+    }
     // The churned scenario runs under the demo churn model and demo
     // resilience bundle unless explicit `--churn`/`--resilience` flags
     // substitute custom ones; other scenarios install them only when
@@ -664,7 +703,7 @@ fn drive(args: &Args, run: Run) -> Result<(), CliError> {
     if let Some(secs) = args.inject_panic {
         sim.inject_panic_at(SimTime::from_secs(secs));
     }
-    println!("{header}");
+    outln!("{header}");
     // Switch on the observers the flags ask for: the trace log (unless
     // the checkpoint carries one, which continues), the span recorder at
     // the `--trace-ops` rate (1.0 when only `--optrace-json` asks for
@@ -718,7 +757,7 @@ fn drive(args: &Args, run: Run) -> Result<(), CliError> {
         if next_ckpt == Some(target) {
             let path = snapshot::checkpoint_path(dir, &scenario, sim.now());
             Snapshot::write_serial(&path, &scenario, seed, &sim)?;
-            println!("checkpoint: wrote {}", path.display());
+            outln!("checkpoint: wrote {}", path.display());
             last_ckpt = Some(path);
             next_ckpt = next_ckpt.zip(every).map(|(n, e)| n + e);
         }
@@ -727,7 +766,7 @@ fn drive(args: &Args, run: Run) -> Result<(), CliError> {
         }
     }
     let elapsed = wall.elapsed();
-    println!("simulated {horizon} in {elapsed:?}");
+    outln!("simulated {horizon} in {elapsed:?}");
     if let Some(path) = &args.bench_json {
         write_bench_json(path, &scenario, seed, &sim, horizon, elapsed)?;
     }
@@ -808,7 +847,7 @@ fn write_bench_json(
         path: path.to_string(),
         source,
     })?;
-    println!("bench: wrote {path}");
+    outln!("bench: wrote {path}");
     Ok(())
 }
 
@@ -822,18 +861,19 @@ fn audit_summary(args: &Args, audit: Option<&gdisim_core::AuditState>) -> Result
     let audit = audit.ok_or_else(|| {
         CliError::Internal("--paranoid was set but no audit state was recorded".into())
     })?;
-    println!(
+    outln!(
         "\naudit: {} invariant checks, {} violations",
-        audit.checks, audit.violations
+        audit.checks,
+        audit.violations
     );
     if audit.violations == 0 {
         return Ok(());
     }
     for v in &audit.recorded {
-        println!("  {v}");
+        outln!("  {v}");
     }
     if audit.violations > audit.recorded.len() as u64 {
-        println!(
+        outln!(
             "  ... and {} more",
             audit.violations - audit.recorded.len() as u64
         );
@@ -879,7 +919,7 @@ fn emit_crash_report(
         last_checkpoint: last_checkpoint.map(|p| p.display().to_string()),
     };
     match serde_json::to_string_pretty(&report) {
-        Ok(json) => println!("{json}"),
+        Ok(json) => outln!("{json}"),
         Err(e) => eprintln!("crash report not serializable: {e}"),
     }
     CliError::Crashed(format!(
@@ -997,7 +1037,7 @@ fn write_obs_exports(args: &Args, sim: &Simulation, crashed: bool) -> Result<(),
             .ok_or_else(|| CliError::Internal("profiler was not enabled for this run".into()))?;
         let json = gdisim_obs::export::profile_json(&profile, Some(&sim.metrics_snapshot()));
         write(path, json.as_bytes())?;
-        println!("profile: wrote {path}");
+        outln!("profile: wrote {path}");
     }
     if let (Some(path), false) = (&args.trace_perfetto, crashed) {
         let spans = sim.profiler().map(|p| p.spans()).unwrap_or(&[]);
@@ -1005,7 +1045,7 @@ fn write_obs_exports(args: &Args, sim: &Simulation, crashed: bool) -> Result<(),
             path,
             gdisim_obs::perfetto::render_trace_with(spans, optrace_perfetto_events(sim)).as_bytes(),
         )?;
-        println!("perfetto: wrote {path} ({} spans)", spans.len());
+        outln!("perfetto: wrote {path} ({} spans)", spans.len());
     }
     if let Some(path) = &args.trace_jsonl {
         settle(write_trace_jsonl(path, sim))?;
@@ -1013,7 +1053,7 @@ fn write_obs_exports(args: &Args, sim: &Simulation, crashed: bool) -> Result<(),
     if let Some(path) = &args.optrace_json {
         settle(render_optrace_doc(sim).and_then(|(json, n)| {
             write(path, json.as_bytes())?;
-            println!("optrace: wrote {path} ({n} ops)");
+            outln!("optrace: wrote {path} ({n} ops)");
             Ok(())
         }))?;
     }
@@ -1035,7 +1075,7 @@ fn write_trace_jsonl(path: &str, sim: &Simulation) -> Result<(), CliError> {
         .write_jsonl(&mut out)
         .and_then(|()| std::io::Write::flush(&mut out))
         .map_err(io_err)?;
-    println!("trace: wrote {path} ({} events)", trace.events().len());
+    outln!("trace: wrote {path} ({} events)", trace.events().len());
     Ok(())
 }
 
@@ -1114,7 +1154,7 @@ fn run_cli(args: &Args) -> Result<(), CliError> {
             };
             let json = serde_json::to_string_pretty(&spec)
                 .map_err(|e| CliError::Internal(format!("topology not serializable: {e}")))?;
-            println!("{json}");
+            outln!("{json}");
         }
         "topology" => {
             let path = args
@@ -1129,17 +1169,17 @@ fn run_cli(args: &Args) -> Result<(), CliError> {
                 serde_json::from_str(&read_file(path)?).map_err(|e| bad(e.to_string()))?;
             let infra = Infrastructure::build(&spec, args.seed.unwrap_or(DEFAULT_SEED))
                 .map_err(|e| bad(e.to_string()))?;
-            println!("{path}: OK");
-            println!("  data centers: {}", infra.data_centers().len());
-            println!("  hardware agents: {}", infra.agent_count());
-            println!("  WAN links: {}", infra.wan_links().len());
+            outln!("{path}: OK");
+            outln!("  data centers: {}", infra.data_centers().len());
+            outln!("  hardware agents: {}", infra.agent_count());
+            outln!("  WAN links: {}", infra.wan_links().len());
             for dc in infra.data_centers() {
                 let tiers: Vec<String> = dc
                     .tiers
                     .iter()
                     .map(|t| format!("{}x{}", t.servers.len(), t.kind))
                     .collect();
-                println!("  {}: {}", dc.name, tiers.join(", "));
+                outln!("  {}: {}", dc.name, tiers.join(", "));
             }
         }
         other => {

@@ -74,7 +74,7 @@ impl Simulation {
         r.set_gauge("sim.time_secs", self.now.as_secs_f64());
         r.set_gauge("sessions.logged_in", self.sessions.len() as f64);
         r.set_gauge("operations.active", self.flight.live_instances() as f64);
-        r.set_gauge("agents.active", self.infra.active_count() as f64);
+        r.set_gauge("agents.active", self.infra.active().len() as f64);
         for key in self.report.responses.histogram_keys() {
             if let Some(h) = self.report.responses.histogram(key) {
                 r.insert_histogram(
@@ -127,16 +127,19 @@ impl Simulation {
         }
 
         // Active-set completeness: an agent with work in system that the
-        // set dropped would never be ticked again. The always-tick loop
-        // visits everyone, so the set (and the invariant) is moot there.
+        // set dropped would never be ticked again. Tightness, the
+        // converse: a member with no work is one that retirement missed.
+        // The always-tick loop visits everyone, so the set (and both
+        // invariants) is moot there.
         if !self.tick_all {
             for i in 0..self.infra.agent_count() {
                 let id = gdisim_types::AgentId::from_index(i);
-                if self.infra.component(id).in_system() > 0 && !self.infra.active_contains(i) {
-                    audit.record(V::InactiveAgentWithWork {
-                        at,
-                        agent: i as u32,
-                    });
+                let busy = self.infra.component(id).in_system() > 0;
+                let agent = i as u32;
+                match (busy, self.infra.active().contains(i)) {
+                    (true, false) => audit.record(V::InactiveAgentWithWork { at, agent }),
+                    (false, true) => audit.record(V::IdleActiveMember { at, agent }),
+                    _ => {}
                 }
             }
         }

@@ -608,7 +608,7 @@ impl Simulation {
         match target {
             FaultTarget::WanLink { label } => {
                 if let Some(agent) = self.infra.wan_link_agent(label) {
-                    self.infra.evict_agent(agent, &mut evicted);
+                    self.evict_agent(agent, &mut evicted);
                 }
             }
             FaultTarget::Server { site, tier, server } => {
@@ -619,7 +619,7 @@ impl Simulation {
                     Some([Some(s.cpu), Some(s.nic), Some(s.lan), s.storage])
                 });
                 for agent in agents.into_iter().flatten().flatten() {
-                    self.infra.evict_agent(agent, &mut evicted);
+                    self.evict_agent(agent, &mut evicted);
                 }
             }
             FaultTarget::DataCenter { site } => {
@@ -627,7 +627,7 @@ impl Simulation {
                     for i in 0..self.infra.agent_count() {
                         let id = gdisim_types::AgentId::from_index(i);
                         if self.infra.meta(id).dc == dc {
-                            self.infra.evict_agent(id, &mut evicted);
+                            self.evict_agent(id, &mut evicted);
                         }
                     }
                 }
@@ -660,6 +660,13 @@ impl Simulation {
         for inst_id in affected {
             self.settle_evicted(inst_id, policy, why, now);
         }
+    }
+
+    /// Evicts every job of one agent onto `into` and names the agent a
+    /// retirement candidate: it may have gone empty.
+    fn evict_agent(&mut self, agent: gdisim_types::AgentId, into: &mut Vec<JobToken>) {
+        self.infra.evict_agent(agent, into);
+        self.retire_candidates.push(agent.index() as u32);
     }
 
     /// Settles a live operation that lost a message to an eviction:

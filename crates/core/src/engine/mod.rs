@@ -100,6 +100,11 @@ pub struct Simulation {
     active_scratch: Vec<u32>,
     /// Reusable buffer for the phase-3 completion drain.
     completed_scratch: Vec<(u32, u64)>,
+    /// Agents that may have gone empty this step: every agent whose
+    /// outbox held completions and every agent an incident evicted.
+    /// Retired after routing and empty at every step boundary, so never
+    /// serialized.
+    retire_candidates: Vec<u32>,
     /// When set, every phase-1 source is polled every step (the seed
     /// loop); otherwise a drain only runs once its class's next due time
     /// ([`Self::next_due_us`]) has come. Results are bit-for-bit
@@ -222,6 +227,7 @@ impl Simulation {
             tick_all: false,
             active_scratch: Vec::new(),
             completed_scratch: Vec::new(),
+            retire_candidates: Vec::new(),
             always_poll: false,
             next_series: None,
             site_draws: Vec::new(),
@@ -450,7 +456,7 @@ impl Simulation {
 
     /// Number of agents currently in the active set (holding work).
     pub fn active_agent_count(&self) -> usize {
-        self.infra.active_count()
+        self.infra.active().len()
     }
 
     /// The discrete time step.
@@ -675,6 +681,10 @@ impl Simulation {
         if self.panic_at.is_some_and(|at| now >= at) {
             panic!("injected panic at {now} (supervision test hook)");
         }
+        debug_assert!(
+            self.retire_candidates.is_empty(),
+            "retirement candidates leaked across a step boundary"
+        );
         self.emit(now, Event::StepBegin);
 
         // Phase 1: scheduled events, arrivals and daemons. Incidents
@@ -737,7 +747,7 @@ impl Simulation {
                 slot.tick_into_outbox(now, dt);
             });
         } else {
-            self.infra.active_snapshot_into(&mut active);
+            self.infra.active().snapshot_into(&mut active);
             executor.run_phase_indexed(self.infra.components_mut(), &active, move |slot| {
                 slot.tick_into_outbox(now, dt);
             });
@@ -762,7 +772,11 @@ impl Simulation {
         } else {
             let slots = self.infra.components_mut();
             for &agent in &active {
-                completed.extend(slots[agent as usize].outbox.drain(..).map(|t| (agent, t.0)));
+                let outbox = &mut slots[agent as usize].outbox;
+                if !outbox.is_empty() {
+                    self.retire_candidates.push(agent);
+                    completed.extend(outbox.drain(..).map(|t| (agent, t.0)));
+                }
             }
         }
         self.active_scratch = active;
@@ -783,11 +797,14 @@ impl Simulation {
         }
         self.completed_scratch = completed;
 
-        // Retire sweep: agents that went (and stayed) empty leave the
+        // Retirement: candidates that went (and stayed) empty leave the
         // active set with their idle clock starting at the upcoming tick
         // boundary. Runs after routing so re-fed agents stay members.
-        if !self.tick_all {
-            self.infra.retire_idle(t_next);
+        if self.tick_all {
+            self.retire_candidates.clear();
+        } else {
+            self.infra
+                .retire_emptied(&mut self.retire_candidates, t_next);
         }
         // Agents ticked this step — the active-set occupancy.
         let ticked = if self.tick_all {
@@ -896,6 +913,7 @@ impl gdisim_snap::Snap for Simulation {
             tick_all: gdisim_snap::Snap::load(r)?,
             active_scratch: Vec::new(),
             completed_scratch: Vec::new(),
+            retire_candidates: Vec::new(),
             always_poll: gdisim_snap::Snap::load(r)?,
             next_series: None,
             site_draws: Vec::new(),

@@ -139,12 +139,12 @@ pub fn compile_with(
     // Origin switch, WAN route, destination switch.
     push_local_net(&mut hops, infra.dc(from_dc).switch, bytes);
     if from_dc != to_dc {
-        let Some(route) = infra.route(from_dc, to_dc).map(<[AgentId]>::to_vec) else {
+        let Some(route) = infra.route(from_dc, to_dc) else {
             // The sites are partitioned (failed links, downed data
             // center): the message is undeliverable.
             return MessagePlan::broken(BrokenPlan::NoRoute);
         };
-        for link in route {
+        for &link in route {
             // WAN hops are always traversed: their latency and shared
             // bandwidth are first-order effects (Table 6.2).
             push(&mut hops, link, bytes.max(1.0));

@@ -477,3 +477,57 @@ fn validation_run_prints_the_steady_state_table() {
     }
     assert!(table[4].starts_with("  concurrent clients: "), "{stdout}");
 }
+
+/// `--experiment` picks the validation lab's period set; on any other
+/// scenario it is a usage error, never silently ignored.
+#[test]
+fn experiment_outside_validation_is_a_usage_error() {
+    let args = [
+        "run",
+        "--scenario",
+        "churned",
+        "--minutes",
+        "1",
+        "--experiment",
+        "3",
+    ];
+    let out = gdisim(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--experiment picks the validation lab's period set")
+            && stderr.contains("cannot be used with --scenario churned"),
+        "{stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("gdisim — ") && !stdout.contains("run: "),
+        "must print usage and not run:\n{stdout}"
+    );
+}
+
+/// A reader that goes away (`gdisim run … | head -2`) ends the run
+/// quietly: the header is printed before the simulation runs, so
+/// closing the pipe after it makes every later line hit a closed
+/// stdout.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gdisim"))
+        .args(["run", "--scenario", "churned", "--minutes", "20"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("gdisim binary launches");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .read_line(&mut first)
+        .expect("the header arrives");
+    assert!(first.starts_with("run: scenario churned"), "{first}");
+    // The reader is dropped here, closing the pipe.
+    let out = child.wait_with_output().expect("gdisim exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+}

@@ -42,6 +42,62 @@ fn paranoid_sharded_runs_clean() {
     );
 }
 
+/// The converse of active-set completeness: a member that holds no work
+/// is one retirement missed, and the auditor must say so. The work is
+/// evicted behind the engine's back — through the checkpoint, which
+/// encodes the infrastructure first — so no step names the emptied
+/// agents as retirement candidates. The eviction lands one step before
+/// a collection: an emptied member is retired properly once fresh work
+/// through it completes, so a later audit could find it busy or gone.
+#[test]
+fn a_member_left_idle_is_reported() {
+    use gdisim_core::audit::InvariantViolation;
+    use gdisim_infra::Infrastructure;
+    use gdisim_snap::{Snap, SnapReader};
+
+    let mut sim = common::build("consolidated", 7);
+    sim.set_paranoid(true);
+    let collection = SimTime::from_secs(180);
+    sim.run_until(SimTime(collection.as_micros() - sim.dt().as_micros()));
+    assert_eq!(sim.audit_state().map(|a| a.violations), Some(0));
+    let bytes = gdisim_snap::to_bytes(&sim);
+    let mut r = SnapReader::new(&bytes);
+    let mut infra = Infrastructure::load(&mut r).expect("the infrastructure decodes");
+    let rest = &bytes[bytes.len() - r.remaining()..];
+    let mut members = Vec::new();
+    infra.active().snapshot_into(&mut members);
+    assert!(!members.is_empty(), "nothing active before the collection");
+    let mut evicted = Vec::new();
+    for &agent in &members {
+        infra.evict_agent(gdisim_types::AgentId(agent), &mut evicted);
+    }
+    let mut patched = gdisim_snap::to_bytes(&infra);
+    patched.extend_from_slice(rest);
+    let mut sim: gdisim_core::Simulation =
+        gdisim_snap::from_bytes(&patched).expect("the patched engine decodes");
+    sim.run_until(collection);
+    let audit = sim
+        .audit_state()
+        .expect("the auditor rides in the checkpoint");
+    let idle: Vec<u32> = audit
+        .recorded
+        .iter()
+        .filter_map(|v| match v {
+            InvariantViolation::IdleActiveMember { agent, .. } => Some(*agent),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        !idle.is_empty(),
+        "no idle member reported: {:#?}",
+        audit.recorded
+    );
+    assert!(
+        idle.iter().all(|a| members.contains(a)),
+        "{idle:?} ⊄ {members:?}"
+    );
+}
+
 #[test]
 fn paranoid_survives_a_resume() {
     // The audit tallies themselves are not checkpointed (they are

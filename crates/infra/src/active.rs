@@ -10,14 +10,15 @@
 //!
 //! The member list is kept **incrementally sorted**: activation
 //! binary-inserts (with an O(1) append fast path for the common
-//! ascending-activation case) and the retire sweep compacts in one
-//! order-preserving pass, so a snapshot is a plain copy — no per-step
+//! ascending-activation case) and retirement removes one agent at its
+//! binary-searched slot, so a snapshot is a plain copy — no per-step
 //! `sort_unstable`.
 //!
 //! Invariants maintained together with the engine:
 //!
-//! * an agent is a member iff its `in_system() > 0` *or* it received a
-//!   token since the last retire sweep;
+//! * an agent is a member iff its `in_system() > 0` *or* it completed
+//!   or lost work since the last retirement (only those agents can have
+//!   gone empty, so only they are retirement candidates);
 //! * `members` is strictly ascending at all times (each agent appears at
 //!   most once) — phase 2's non-aliasing argument and phase 3's
 //!   deterministic drain order both rest on this;
@@ -94,23 +95,19 @@ impl ActiveSet {
         buf.extend_from_slice(&self.members);
     }
 
-    /// Drops every member for which `is_idle` returns true, stamping its
-    /// idle start at `t`. `is_idle` receives the agent index. One
-    /// order-preserving compaction pass, so the ascending invariant
-    /// survives without a re-sort.
-    pub fn retire<F: FnMut(usize) -> bool>(&mut self, t: SimTime, mut is_idle: F) {
-        let flags = &mut self.flags;
-        let idle_from = &mut self.idle_from;
-        self.members.retain(|&m| {
-            let agent = m as usize;
-            if is_idle(agent) {
-                flags[agent] = false;
-                idle_from[agent] = t;
-                false
-            } else {
-                true
-            }
-        });
+    /// Retires a member at tick boundary `t`: clears its flag, stamps
+    /// its idle start and removes it from the member list, which stays
+    /// strictly ascending.
+    ///
+    /// # Panics
+    /// Debug-asserts that the agent is a member.
+    pub fn retire(&mut self, agent: usize, t: SimTime) {
+        debug_assert!(self.flags[agent], "agent {agent} is not a member");
+        self.flags[agent] = false;
+        self.idle_from[agent] = t;
+        if let Ok(pos) = self.members.binary_search(&(agent as u32)) {
+            self.members.remove(pos);
+        }
     }
 
     /// Calls `credit(agent, ticks)` for every non-member whose idle span
@@ -194,8 +191,13 @@ mod tests {
             sorted.dedup();
             assert_eq!(buf, sorted, "unsorted after activating {agent}");
         }
-        s.retire(SimTime::from_millis(10), |a| a % 2 == 1);
-        s.snapshot_into(&mut buf);
+        for agent in [11, 3, 15, 9, 7] {
+            s.retire(agent, SimTime::from_millis(10));
+            s.snapshot_into(&mut buf);
+            let mut sorted = buf.clone();
+            sorted.sort_unstable();
+            assert_eq!(buf, sorted, "unsorted after retiring {agent}");
+        }
         assert_eq!(buf, vec![0, 2]);
     }
 
@@ -206,7 +208,9 @@ mod tests {
         s.activate(1);
         s.activate(3);
         let t = SimTime::from_millis(30);
-        s.retire(t, |agent| agent != 1);
+        s.retire(0, t);
+        s.retire(3, t);
+        assert!(!s.contains(0) && s.contains(1) && !s.contains(3));
         let mut buf = Vec::new();
         s.snapshot_into(&mut buf);
         assert_eq!(buf, vec![1]);
@@ -218,7 +222,7 @@ mod tests {
     fn credit_idle_spans_whole_ticks_since_epoch() {
         let mut s = ActiveSet::new(3);
         s.activate(1); // members are never credited
-        s.retire(SimTime::from_millis(20), |agent| agent == 1); // 1 idle from 20 ms
+        s.retire(1, SimTime::from_millis(20)); // 1 idle from 20 ms
         let mut credited = Vec::new();
         s.credit_idle(
             SimTime::ZERO,

@@ -439,9 +439,8 @@ impl Infrastructure {
 
     /// Drains every in-flight job out of one agent, pushing the evicted
     /// tokens onto `into` in the component's deterministic eviction order.
-    /// The agent stays in the active set until the next retire sweep
-    /// notices it went empty, so the active-set invariant (members cover
-    /// every agent holding work) is preserved.
+    /// The agent stays in the active set: the caller names it as a
+    /// retirement candidate for [`retire_emptied`](Self::retire_emptied).
     pub fn evict_agent(&mut self, agent: AgentId, into: &mut Vec<gdisim_queueing::JobToken>) {
         self.components[agent.index()].component.evict_all(into);
     }
@@ -616,28 +615,29 @@ impl Infrastructure {
         slot.component.enqueue(token, demand, now);
     }
 
-    /// Copies the active agents, in strictly ascending order, into `buf`.
-    pub fn active_snapshot_into(&self, buf: &mut Vec<u32>) {
-        self.active.snapshot_into(buf);
+    /// The active-agent set: membership, the ascending member list and
+    /// the idle-from stamps.
+    pub fn active(&self) -> &ActiveSet {
+        &self.active
     }
 
-    /// Number of currently active agents.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Whether `agent` is currently an active-set member.
-    pub fn active_contains(&self, agent: usize) -> bool {
-        self.active.contains(agent)
-    }
-
-    /// Drops every active agent that went empty, stamping its idle start
-    /// at tick boundary `t`. Run after the interaction phase has routed
-    /// all completions (and therefore drained every active outbox).
-    pub fn retire_idle(&mut self, t: SimTime) {
-        let components = &self.components;
-        self.active
-            .retire(t, |agent| components[agent].component.is_empty());
+    /// Retires every candidate that is an active member and went empty,
+    /// stamping its idle start at tick boundary `t`, then clears
+    /// `candidates`. Run after the interaction phase has routed all
+    /// completions. A station loses work only through its outbox or an
+    /// eviction, so the candidates are the agents whose outbox held
+    /// completions this step plus every agent evicted since the last
+    /// call; any other member still holds the work it held then.
+    pub fn retire_emptied(&mut self, candidates: &mut Vec<u32>, t: SimTime) {
+        candidates.sort_unstable();
+        candidates.dedup();
+        for &agent in candidates.iter() {
+            let agent = agent as usize;
+            if self.active.contains(agent) && self.components[agent].component.is_empty() {
+                self.active.retire(agent, t);
+            }
+        }
+        candidates.clear();
     }
 
     /// Credits the idle span `[max(idle_from, epoch), t)` to every

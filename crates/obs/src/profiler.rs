@@ -22,7 +22,7 @@ pub const NUM_PHASES: usize = 4;
 pub const PHASE_DRAIN: usize = 0;
 /// Phase slot: phase-2 time increment (executor + memory advance).
 pub const PHASE_ADVANCE: usize = 1;
-/// Phase slot: phase-3 interactions (completion routing + retire sweep).
+/// Phase slot: phase-3 interactions (completion routing + retirement).
 pub const PHASE_ROUTE: usize = 2;
 /// Phase slot: periodic measurement collection.
 pub const PHASE_COLLECT: usize = 3;
